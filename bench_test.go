@@ -630,12 +630,10 @@ func (s *nullSink) Flush() error           { return nil }
 
 // BenchmarkFleetTelemetry measures the marginal cost of streaming STL
 // hazard telemetry on a 100-session fleet against the no-telemetry
-// baseline, across the delivery/evaluation shapes:
+// baseline, across the delivery shapes:
 //
-//   - per-session: one scs.StreamSet per session, events over the
-//     channel (the pre-batching shape, kept as the oracle);
-//   - stl-telemetry: the default shard-batched scs.BatchStreamSet, same
-//     channel delivery — isolates the evaluation batching win;
+//   - stl-telemetry: the shard-batched scs.BatchStreamSet, events over
+//     the channel;
 //   - sharded-sink: batched evaluation plus per-worker sink buffers
 //     (Config.ShardedSinks) instead of any channel — the serving shape,
 //     isolating the delivery win.
@@ -678,11 +676,6 @@ func BenchmarkFleetTelemetry(b *testing.B) {
 	b.Run("stl-telemetry", func(b *testing.B) {
 		cfg := base
 		cfg.Telemetry = &fleet.TelemetryConfig{}
-		runEvents(b, cfg)
-	})
-	b.Run("per-session", func(b *testing.B) {
-		cfg := base
-		cfg.Telemetry = &fleet.TelemetryConfig{PerSession: true}
 		runEvents(b, cfg)
 	})
 	b.Run("sharded-sink", func(b *testing.B) {

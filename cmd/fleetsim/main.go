@@ -8,15 +8,14 @@
 //
 // Each worker shard advances its whole live window's physiology through
 // one shard-batched struct-of-arrays integration per control cycle
-// (sim.BatchPatient); -step-per-session selects the scalar
-// one-integrator-per-session path instead, which is bit-identical per
-// session and serves as the differential oracle.
+// (sim.BatchPatient), bit-identical per session to a scalar
+// one-integrator-per-session loop (the fleet tests keep that loop as
+// their oracle).
 //
 // Telemetry: with -stl every session streams its per-cycle STL
-// robustness margin — by default each worker shard evaluates its whole
-// live window through one shard-batched rule-stream push per cycle
-// (bit-identical to the per-session path, which -stl-per-session
-// selects). With -monitor cawot the streaming context-aware monitor
+// robustness margin — each worker shard evaluates its whole live window
+// through one shard-batched rule-stream push per cycle. With -monitor
+// cawot the streaming context-aware monitor
 // rides in the loop (-monitor cawot-batch evaluates it shard-batched;
 // add -mitigate for Algorithm 1, -scale-margin to scale corrections by
 // violation depth), and -stl-from-monitor emits the monitor's own
@@ -70,13 +69,11 @@ func main() {
 		seed         = flag.Int64("seed", 1, "master seed for per-session RNG streams")
 		steps        = flag.Int("steps", 150, "control cycles per session")
 		noise        = flag.Float64("noise", 0, "CGM sensor noise SD in mg/dL (0 = clean sensor; negative = sensor error channel with AR(1) noise explicitly disabled)")
-		stepPerSess  = flag.Bool("step-per-session", false, "advance each session's physiology with its own scalar integrator instead of the shard-batched SoA stepper (bit-identical oracle path)")
 		progress     = flag.Int("progress", 0, "print a progress line every k completed sessions")
 		monitorName  = flag.String("monitor", "", "attach a safety monitor: cawot (per-session streaming context-aware) or cawot-batch (shard-batched, bit-identical)")
 		mitigate     = flag.Bool("mitigate", false, "enable Algorithm 1 mitigation (requires -monitor)")
 		scaleMargin  = flag.Bool("scale-margin", false, "scale mitigation corrections by the verdict's violation depth (requires -mitigate)")
 		stlTelem     = flag.Bool("stl", false, "stream per-cycle STL robustness margins (Table I rules, shard-batched streaming engine)")
-		stlPerSess   = flag.Bool("stl-per-session", false, "evaluate telemetry with one rule set per session instead of the shard-batched engine (requires -stl)")
 		stlFromMon   = flag.Bool("stl-from-monitor", false, "emit the monitor's own streaming margins instead of a separate rule set (requires -monitor; implies -stl)")
 		stlEvery     = flag.Int("stl-every", 1, "emit a robustness event every k cycles per session")
 		sinkList     = flag.String("sink", "", "comma-separated telemetry sinks: log (JSONL append), ring (snapshot buffer), hist (per-patient margin histograms)")
@@ -141,7 +138,6 @@ func main() {
 		// is distinct from the clean pass-through sensor at 0.
 		cfg.Sensor = &sensor.Config{NoiseSD: *noise}
 	}
-	cfg.PerSessionStepping = *stepPerSess
 	switch *monitorName {
 	case "":
 		if *mitigate || *stlFromMon {
@@ -165,9 +161,6 @@ func main() {
 		}
 		cfg.Mitigation.ScaleByMargin = true
 	}
-	if *stlPerSess && !*stlTelem {
-		fail(fmt.Errorf("-stl-per-session requires -stl"))
-	}
 	if *sinkEpoch != 0 && !*shardedSinks {
 		fail(fmt.Errorf("-sink-epoch requires -sharded-sinks (it paces sharded delivery)"))
 	}
@@ -190,7 +183,6 @@ func main() {
 		cfg.Telemetry = &apsmonitor.FleetTelemetryConfig{
 			Every:       *stlEvery,
 			FromMonitor: *stlFromMon,
-			PerSession:  *stlPerSess,
 		}
 	}
 

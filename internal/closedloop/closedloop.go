@@ -125,12 +125,14 @@ type Config struct {
 	InitialBG  float64
 	Patient    Patient
 	Controller control.Controller
-	Fault      *fault.Fault // nil for a fault-free run
+	// Fault is a single controller-variable injection (nil for a
+	// fault-free run), shorthand for a Plan holding just that injection:
+	// the loop compiles it into one before the run starts.
+	Fault *fault.Fault
 	// Plan is a compiled scenario program: injections plus the timeline
 	// disturbances (meals, exercise, CGM dropout/bias, pump occlusion)
 	// the enum Fault cannot express. Mutually exclusive with Fault; its
-	// horizon must match Steps/CycleMin. A plan bridged from a legacy
-	// Scenario executes byte-identically to setting Fault.
+	// horizon must match Steps/CycleMin.
 	Plan       *fault.Plan
 	Monitor    Monitor // nil to run without a safety monitor
 	Mitigation MitigationConfig
@@ -160,10 +162,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CycleMin <= 0 {
 		return c, fmt.Errorf("closedloop: invalid cycle length %v", c.CycleMin)
 	}
-	if c.Plan != nil {
-		if c.Fault != nil {
+	if c.Fault != nil {
+		if c.Plan != nil {
 			return c, fmt.Errorf("closedloop: Fault and Plan are mutually exclusive")
 		}
+		pl, err := fault.Program{Segments: []fault.Segment{c.Fault.Segment()}}.Compile(c.Steps, c.CycleMin)
+		if err != nil {
+			return c, fmt.Errorf("closedloop: %w", err)
+		}
+		c.Fault, c.Plan = nil, pl
+	}
+	if c.Plan != nil {
 		if c.Plan.Steps() != c.Steps || c.Plan.CycleMin() != c.CycleMin {
 			return c, fmt.Errorf("closedloop: plan compiled for %d steps of %v min, loop runs %d of %v",
 				c.Plan.Steps(), c.Plan.CycleMin(), c.Steps, c.CycleMin)

@@ -428,12 +428,12 @@ func TestMitigationRejectsNegativeMarginRef(t *testing.T) {
 }
 
 // TestDeferredSteppingMatchesStep: driving a stepper through the
-// batched-engine protocol — CleanCGM + external sensor transform,
-// BeginStepSensed, MonitorVerdict, FinishStepDeferred, then advancing
-// the patient outside the stepper — must reproduce the plain Step loop
-// sample for sample, including under margin-scaled mitigation.
+// batched-engine protocol — CleanCGM, BeginStepSensed, MonitorVerdict,
+// FinishStepDeferred, then advancing the patient outside the stepper —
+// must reproduce the plain Step loop sample for sample, including under
+// margin-scaled mitigation.
 func TestDeferredSteppingMatchesStep(t *testing.T) {
-	newCfg := func() (Config, StepperOptions) {
+	newCfg := func() Config {
 		p, ctrl := newGlucosymRig(t, 1)
 		f := &fault.Fault{Kind: fault.KindAdd, Target: "glucose", Value: 60, StartStep: 10, Duration: 30}
 		cfg := Config{
@@ -444,12 +444,10 @@ func TestDeferredSteppingMatchesStep(t *testing.T) {
 			Monitor:    &marginMonitor{threshold: 0, margin: -1},
 			Mitigation: MitigationConfig{Enabled: true, ScaleByMargin: true, MarginRef: 2},
 		}
-		sensorFn := func(clean, _ float64) float64 { return clean + 1.5 }
-		return cfg, StepperOptions{Sensor: sensorFn}
+		return cfg
 	}
 
-	cfgA, optsA := newCfg()
-	stA, err := NewStepper(cfgA, optsA)
+	stA, err := NewStepper(newCfg(), StepperOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,14 +456,14 @@ func TestDeferredSteppingMatchesStep(t *testing.T) {
 	}
 	want := stA.Finish()
 
-	cfgB, _ := newCfg()
-	// The deferred path owns the sensor channel and physiology itself.
+	cfgB := newCfg()
+	// The deferred path owns the sensor reading and physiology itself.
 	stB, err := NewStepper(cfgB, StepperOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for !stB.Done() {
-		cgm := stB.CleanCGM() + 1.5
+		cgm := stB.CleanCGM()
 		if now := stB.CycleTime(); now != float64(stB.StepIndex())*5 {
 			t.Fatalf("CycleTime %v at step %d", now, stB.StepIndex())
 		}

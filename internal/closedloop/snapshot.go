@@ -46,14 +46,11 @@ func (st *Stepper) Snapshot(enc *snapshot.Encoder) error {
 
 	st.monIOB.SnapshotState(enc)
 
-	// One presence bit covers both fault paths; for a plan the injector
-	// count is implied by the Config's plan, so a bridged single-inject
-	// plan writes exactly the legacy bytes.
+	// One presence bit; the injector count is implied by the Config's
+	// plan, so a single-inject plan writes exactly one injector's bytes.
 	planInj := st.exec != nil && st.exec.HasInjectors()
-	enc.Bool(st.injector != nil || planInj)
-	if st.injector != nil {
-		st.injector.SnapshotState(enc)
-	} else if planInj {
+	enc.Bool(planInj)
+	if planInj {
 		st.exec.SnapshotState(enc)
 	}
 
@@ -113,15 +110,11 @@ func (st *Stepper) Restore(dec *snapshot.Decoder) error {
 		return err
 	}
 	planInj := st.exec != nil && st.exec.HasInjectors()
-	if hadInjector != (st.injector != nil || planInj) {
+	if hadInjector != planInj {
 		return fmt.Errorf("closedloop: snapshot fault-injector presence (%v) does not match config (%v)",
-			hadInjector, st.injector != nil || planInj)
+			hadInjector, planInj)
 	}
-	if st.injector != nil {
-		if err := st.injector.RestoreState(dec); err != nil {
-			return fmt.Errorf("closedloop: fault injector: %w", err)
-		}
-	} else if planInj {
+	if planInj {
 		if err := st.exec.RestoreState(dec); err != nil {
 			return fmt.Errorf("closedloop: fault injector: %w", err)
 		}

@@ -16,30 +16,25 @@ type StepperOptions struct {
 	// fleet engine recycles these through a sync.Pool so long-running
 	// session churn does not allocate per run.
 	Samples []trace.Sample
-	// Sensor optionally transforms the clean CGM reading at time tMin
-	// (e.g. a sensor.Model driven by a per-session RNG). Nil reads the
-	// patient's CGM directly, matching Run.
-	Sensor func(cleanCGM, tMin float64) float64
 }
 
 // Stepper executes a closed-loop simulation one control cycle at a time.
 // It is the single implementation of the simulation loop: Run drives it
 // to completion in one call, and the fleet engine interleaves many
-// steppers as concurrent sessions, optionally splitting each cycle at
-// the monitor decision (BeginStep / FinishStep) so one batched inference
-// call can serve a whole shard.
+// steppers as concurrent sessions, splitting each cycle at the sensor
+// reading, the monitor decision and the physiology step
+// (BeginStepSensed / FinishStepDeferred) so one batched sensor sweep,
+// inference call and integration can serve a whole shard.
 //
 // A cycle runs either as Step (the attached cfg.Monitor decides) or as
 // BeginStep → FinishStep (the caller supplies the verdict, e.g. from a
-// monitor.BatchMonitor). Both orders produce samples identical to Run.
+// monitor.BatchMonitor). Every order produces samples identical to Run.
 type Stepper struct {
-	cfg      Config
-	opts     StepperOptions
-	injector *fault.Injector
-	exec     *fault.PlanExec  // plan-path injections, nil without a Plan
-	exHost   sim.ExerciseHost // set only when the plan schedules exercise
-	monIOB   *control.IOBTracker
-	tr       *trace.Trace
+	cfg    Config
+	exec   *fault.PlanExec  // plan injections, nil without a Plan
+	exHost sim.ExerciseHost // set only when the plan schedules exercise
+	monIOB *control.IOBTracker
+	tr     *trace.Trace
 
 	step          int
 	prevCGM       float64
@@ -75,13 +70,7 @@ func NewStepper(cfg Config, opts StepperOptions) (*Stepper, error) {
 		cfg.Monitor.Reset()
 	}
 
-	st := &Stepper{cfg: cfg, opts: opts}
-	if cfg.Fault != nil {
-		st.injector, err = fault.NewInjector(*cfg.Fault)
-		if err != nil {
-			return nil, fmt.Errorf("closedloop: %w", err)
-		}
-	}
+	st := &Stepper{cfg: cfg}
 	if cfg.Plan != nil {
 		st.exec, err = cfg.Plan.NewExec()
 		if err != nil {
@@ -104,9 +93,7 @@ func NewStepper(cfg Config, opts StepperOptions) (*Stepper, error) {
 	// Attach the fault hook only once construction can no longer fail,
 	// so an error return never leaves a stale perturbation on the
 	// caller's controller (Finish detaches it on the success path).
-	if st.injector != nil {
-		cfg.Controller.SetPerturb(st.injector.Perturb)
-	} else if st.exec != nil && st.exec.HasInjectors() {
+	if st.exec != nil && st.exec.HasInjectors() {
 		cfg.Controller.SetPerturb(st.exec.Perturb)
 	}
 
@@ -119,9 +106,6 @@ func NewStepper(cfg Config, opts StepperOptions) (*Stepper, error) {
 		// the step-0 PrevRate and Observation.Basal exactly as the live
 		// loop does below.
 		Basal: cfg.Patient.Basal(),
-	}
-	if cfg.Fault != nil {
-		st.tr.Fault = cfg.Fault.Info()
 	}
 	if cfg.Plan != nil {
 		st.tr.Fault = cfg.Plan.FaultInfo()
@@ -173,21 +157,15 @@ func (st *Stepper) CycleTime() float64 { return float64(st.step) * st.cfg.CycleM
 func (st *Stepper) CleanCGM() float64 { return st.cfg.Patient.CGM() }
 
 // BeginStep advances the cycle to its monitor decision point: it reads
-// the sensors, lets the controller decide, and returns the monitor's
-// observation. The caller must follow with FinishStep. Calling BeginStep
-// on a finished or already-pending stepper panics (engine bug).
-func (st *Stepper) BeginStep() Observation {
-	cgm := st.cfg.Patient.CGM()
-	if st.opts.Sensor != nil {
-		cgm = st.opts.Sensor(cgm, st.CycleTime())
-	}
-	return st.BeginStepSensed(cgm)
-}
+// the patient's clean CGM, lets the controller decide, and returns the
+// monitor's observation. The caller must follow with FinishStep.
+func (st *Stepper) BeginStep() Observation { return st.BeginStepSensed(st.CleanCGM()) }
 
 // BeginStepSensed is BeginStep for engines that run the sensor channel
 // themselves: cgm is the already-sensed reading for this cycle (e.g.
 // from a sensor.BatchModel sweep over the shard). The caller must
-// follow with FinishStep or FinishStepDeferred.
+// follow with FinishStep or FinishStepDeferred. Calling it on a
+// finished or already-pending stepper panics (engine bug).
 func (st *Stepper) BeginStepSensed(cgm float64) Observation {
 	if st.Done() || st.pending.active {
 		panic("closedloop: BeginStep out of order")
@@ -218,9 +196,7 @@ func (st *Stepper) BeginStepSensed(cgm float64) Observation {
 		iobPrime = (iob - st.prevIOB) / cfg.CycleMin
 	}
 
-	if st.injector != nil {
-		st.injector.BeginStep(st.step)
-	} else if st.exec != nil {
+	if st.exec != nil {
 		st.exec.BeginStep(st.step)
 	}
 	out := cfg.Controller.Decide(control.Input{
@@ -241,9 +217,7 @@ func (st *Stepper) BeginStepSensed(cgm float64) Observation {
 		Rate:   rate,
 		Action: action,
 	}
-	if cfg.Fault != nil {
-		sample.FaultActive = cfg.Fault.Active(st.step)
-	} else if cfg.Plan != nil {
+	if cfg.Plan != nil {
 		sample.FaultActive = cfg.Plan.Active(st.step)
 	}
 	obs := Observation{
@@ -357,7 +331,7 @@ func (st *Stepper) Finish() *trace.Trace {
 		panic("closedloop: Finish called twice")
 	}
 	st.finished = true
-	if st.injector != nil || (st.exec != nil && st.exec.HasInjectors()) {
+	if st.exec != nil && st.exec.HasInjectors() {
 		st.cfg.Controller.SetPerturb(nil)
 	}
 	st.cfg.Labeler.Label(st.tr)

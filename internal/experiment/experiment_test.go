@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -108,8 +107,8 @@ func TestCampaignDeterministicOrder(t *testing.T) {
 
 // TestCampaignGoldenDeterminism is the campaign-side golden test: the
 // serialized traces of a campaign are byte-identical at Parallel=1 and
-// Parallel=NumCPU (the fleet engine's scheduling never leaks into
-// results).
+// at fixed higher levels (the fleet engine's scheduling never leaks into
+// results, whatever the host's core count).
 func TestCampaignGoldenDeterminism(t *testing.T) {
 	run := func(parallel int) []byte {
 		traces, err := Run(CampaignConfig{
@@ -131,8 +130,10 @@ func TestCampaignGoldenDeterminism(t *testing.T) {
 		return buf.Bytes()
 	}
 	golden := run(1)
-	if got := run(runtime.NumCPU()); !bytes.Equal(got, golden) {
-		t.Fatal("campaign traces differ between Parallel=1 and Parallel=NumCPU")
+	for _, p := range []int{2, 4} {
+		if got := run(p); !bytes.Equal(got, golden) {
+			t.Fatalf("campaign traces differ between Parallel=1 and Parallel=%d", p)
+		}
 	}
 }
 
@@ -245,6 +246,20 @@ func TestSuiteEndToEnd(t *testing.T) {
 	}
 	if res.Monitor != "CAWT" {
 		t.Errorf("monitor %q", res.Monitor)
+	}
+	// The MLP mitigation rerun shares one trained model across every
+	// session's monitor, so its result must not depend on how sessions
+	// are spread over worker shards (Table VII's MLP row).
+	var mlp [2]MitigationResult
+	for i, parallel := range []int{1, 2} {
+		if mlp[i], err = suite.EvaluateMitigation("MLP", baseline, CampaignConfig{
+			Patients: []int{0}, Scenarios: scen, Parallel: parallel,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mlp[0] != mlp[1] {
+		t.Errorf("MLP mitigation differs across parallelism: Parallel=1 %+v vs Parallel=2 %+v", mlp[0], mlp[1])
 	}
 	if out := RenderMitigation([]MitigationResult{res}); !strings.Contains(out, "recovery") {
 		t.Error("RenderMitigation malformed")

@@ -93,6 +93,14 @@ func (f Fault) Info() trace.FaultInfo {
 	}
 }
 
+// Segment returns the fault as a scenario-program injection segment.
+func (f Fault) Segment() Segment {
+	return Segment{
+		Kind: SegInject, Fault: f.Kind, Target: f.Target, Value: f.Value,
+		Start: f.StartStep, Duration: f.Duration,
+	}
+}
+
 // Active reports whether the fault is live at the given step.
 func (f Fault) Active(step int) bool {
 	return f.Duration > 0 && step >= f.StartStep && step < f.StartStep+f.Duration

@@ -258,14 +258,7 @@ func (sc Scenario) Program() Program {
 		p.Segments = append(p.Segments, Segment{Kind: SegInitBG, Value: sc.InitialBG})
 	}
 	if sc.Fault.Duration > 0 {
-		p.Segments = append(p.Segments, Segment{
-			Kind:     SegInject,
-			Fault:    sc.Fault.Kind,
-			Target:   sc.Fault.Target,
-			Value:    sc.Fault.Value,
-			Start:    sc.Fault.StartStep,
-			Duration: sc.Fault.Duration,
-		})
+		p.Segments = append(p.Segments, sc.Fault.Segment())
 	}
 	return p
 }

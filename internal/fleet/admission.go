@@ -58,8 +58,8 @@ type AdmitSpec struct {
 	// PatientIdx is the cohort index of the admitted patient.
 	PatientIdx int
 	// ScenIdx indexes the fleet's declared scenario table
-	// (Config.Scenarios or Config.LegacyScenarios) — admitted sessions
-	// choose from it. Ignored when Program is set.
+	// (Config.Scenarios) — admitted sessions choose from it. Ignored when
+	// Program is set.
 	ScenIdx int
 	// Program, when non-nil, admits an inline scenario program instead
 	// of a table index: the program is validated and compile-checked at
@@ -194,8 +194,8 @@ func (a *Admissions) bind(cfg *Config) error {
 			if ss.PatientIdx < 0 || ss.PatientIdx >= cfg.Platform.NumPatients {
 				return fmt.Errorf("fleet: restore snapshot slot %d: patient index %d outside cohort [0, %d)", ss.Slot, ss.PatientIdx, cfg.Platform.NumPatients)
 			}
-			if ss.Program == "" && (ss.ScenIdx < 0 || ss.ScenIdx >= cfg.numScenarios()) {
-				return fmt.Errorf("fleet: restore snapshot slot %d: scenario index %d outside the declared table [0, %d)", ss.Slot, ss.ScenIdx, cfg.numScenarios())
+			if ss.Program == "" && (ss.ScenIdx < 0 || ss.ScenIdx >= len(cfg.Scenarios)) {
+				return fmt.Errorf("fleet: restore snapshot slot %d: scenario index %d outside the declared table [0, %d)", ss.Slot, ss.ScenIdx, len(cfg.Scenarios))
 			}
 			sp, err := restoredSpec(ss)
 			if err != nil {
@@ -694,8 +694,8 @@ func (g *admissionGate) validateSpec(sp AdmitSpec) (string, *SessionSnapshot) {
 			if _, err := prog.Compile(g.cfg.Steps, g.cfg.CycleMin); err != nil {
 				return fmt.Sprintf("snapshot program: %v", err), nil
 			}
-		} else if snap.ScenIdx < 0 || snap.ScenIdx >= g.cfg.numScenarios() {
-			return fmt.Sprintf("snapshot scenario index %d outside the declared table [0, %d)", snap.ScenIdx, g.cfg.numScenarios()), nil
+		} else if snap.ScenIdx < 0 || snap.ScenIdx >= len(g.cfg.Scenarios) {
+			return fmt.Sprintf("snapshot scenario index %d outside the declared table [0, %d)", snap.ScenIdx, len(g.cfg.Scenarios)), nil
 		}
 		return "", snap
 	}
@@ -708,8 +708,8 @@ func (g *admissionGate) validateSpec(sp AdmitSpec) (string, *SessionSnapshot) {
 		if _, err := sp.Program.Compile(g.cfg.Steps, g.cfg.CycleMin); err != nil {
 			return fmt.Sprintf("inline program: %v", err), nil
 		}
-	} else if sp.ScenIdx < 0 || sp.ScenIdx >= g.cfg.numScenarios() {
-		return fmt.Sprintf("scenario index %d outside the declared table [0, %d)", sp.ScenIdx, g.cfg.numScenarios()), nil
+	} else if sp.ScenIdx < 0 || sp.ScenIdx >= len(g.cfg.Scenarios) {
+		return fmt.Sprintf("scenario index %d outside the declared table [0, %d)", sp.ScenIdx, len(g.cfg.Scenarios)), nil
 	}
 	if sp.NewMonitor != nil && g.cfg.NewBatchMonitor != nil {
 		return "per-session monitor override conflicts with Config.NewBatchMonitor", nil

@@ -13,7 +13,10 @@
 // the engine is race-free by construction. Each session is driven by a
 // closedloop.Stepper — the single implementation of the simulation
 // loop — with a per-session deterministic RNG and a pooled trace
-// buffer.
+// buffer. Every round has one shape: a batched sensor sweep, the
+// monitor decision, and one struct-of-arrays physiology step
+// (Platform.NewBatchPatient, required) for the shard's whole live
+// window.
 //
 // # Invariants
 //
@@ -24,15 +27,17 @@
 // in the loop (TestFleetDeterministicAcrossParallelism).
 //
 // Batched ≡ per-session, bit-identically: the lock-step rounds let a
-// shard evaluate all its sessions' monitor decisions in one call
-// (Config.NewBatchMonitor) and all its sessions' hazard telemetry in
-// one struct-of-arrays rule-stream push (Config.Telemetry's default;
-// TelemetryConfig.PerSession keeps the per-session oracle reachable).
-// Both batched paths produce exactly the verdicts and margins the
-// per-session paths produce — not statistically, bit-for-bit
-// (TestFleetBatchedMonitorMatchesPerSession,
-// TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely a
-// throughput decision.
+// shard step all its sessions' physiology in one integration, evaluate
+// all their monitor decisions in one call (Config.NewBatchMonitor), and
+// all their hazard telemetry in one struct-of-arrays rule-stream push
+// (Config.Telemetry). Each produces exactly what a per-session
+// counterpart produces — not statistically, bit-for-bit. The
+// per-session counterparts live in the tests as oracles: a scalar
+// patient bank (TestFleetBatchedSteppingMatchesPerSession), per-session
+// monitors (TestFleetBatchedMonitorMatchesPerSession), and an offline
+// per-session scs.StreamSet replay of every trace
+// (TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely
+// a throughput decision.
 //
 // One evaluation per cycle: with TelemetryConfig.FromMonitor, telemetry
 // reads the monitor's own streaming verdict (per-session or per-lane),

@@ -29,11 +29,12 @@ import (
 // By default every worker shard evaluates its whole live window through
 // one shard-batched scs.BatchStreamSet — a single struct-of-arrays push
 // per cycle, bit-identical per lane to a dedicated per-session
-// scs.StreamSet (which PerSession selects explicitly). With FromMonitor
-// the verdicts instead come from the session monitor's own single
-// streaming evaluation, so a fleet serving margin-carrying monitors
-// (the streaming CAWT/CAWOT, per-session or shard-batched) pays for
-// exactly one rule evaluation per cycle.
+// scs.StreamSet (TestFleetBatchedTelemetryMatchesPerSession replays the
+// traces through one offline). With FromMonitor the verdicts instead
+// come from the session monitor's own single streaming evaluation, so a
+// fleet serving margin-carrying monitors (the streaming CAWT/CAWOT,
+// per-session or shard-batched) pays for exactly one rule evaluation
+// per cycle.
 type TelemetryConfig struct {
 	// Rules is the Safety Context Specification to stream; nil selects
 	// the paper's Table I. Ignored with FromMonitor.
@@ -54,12 +55,6 @@ type TelemetryConfig struct {
 	// StreamVerdict, e.g. monitor.ContextAware) or NewBatchMonitor
 	// building lane-margin monitors (monitor.BatchContextAware).
 	FromMonitor bool
-	// PerSession evaluates telemetry with one scs.StreamSet per session
-	// instead of the shard-batched engine. The two paths are
-	// bit-identical (the differential tests compare them); this is the
-	// escape hatch that keeps the per-session oracle reachable. Ignored
-	// with FromMonitor.
-	PerSession bool
 }
 
 // marginMonitor is the capability FromMonitor telemetry needs: access
@@ -96,14 +91,16 @@ func (a laneMargin) StreamVerdict() (scs.StreamVerdict, bool) {
 type Platform struct {
 	Name        string
 	NumPatients int
-	// NewPatient builds cohort patient idx.
+	// NewPatient builds cohort patient idx as a scalar model. The fleet
+	// engine does not call it; it is carried for the experiment layer's
+	// one-shot closed-loop runs (experiment.Platform converts to this
+	// type).
 	NewPatient func(idx int) (closedloop.Patient, error)
-	// NewBatchPatient, when non-nil, builds a struct-of-arrays bank of
-	// lanes patients and enables shard-batched physiology/sensor stepping:
+	// NewBatchPatient builds a struct-of-arrays bank of lanes patients:
 	// each worker advances its whole live window's ODE state through one
 	// batched RK4 call per round, bit-identical per lane to the scalar
-	// NewPatient path (which Config.PerSessionStepping selects
-	// explicitly).
+	// NewPatient model (the fleet tests' scalarBank oracle steps
+	// NewPatient scalars lane by lane). Required.
 	NewBatchPatient func(lanes int) (sim.BatchPatient, error)
 	// NewController builds the platform's controller for a patient with
 	// the given basal rate.
@@ -115,16 +112,10 @@ type Config struct {
 	Platform Platform
 	// Patients selects cohort indices; nil means the whole cohort.
 	Patients []int
-	// Scenarios is the fleet's scenario-program table; nil (with
-	// LegacyScenarios also empty) means the full 882-per-patient campaign
-	// compiled through the program IR. Every program is validated and
-	// compiled once, before any session starts.
+	// Scenarios is the fleet's scenario-program table; nil means the full
+	// 882-per-patient campaign compiled through the program IR. Every
+	// program is validated and compiled once, before any session starts.
 	Scenarios []fault.Program
-	// LegacyScenarios selects the fault matrix through the original
-	// single-fault enum path instead of compiled programs. Mutually
-	// exclusive with Scenarios; this is the oracle the compiled-legacy
-	// golden differential compares against.
-	LegacyScenarios []fault.Scenario
 	// Sessions is the number of concurrent session slots. Zero means one
 	// per patient x scenario pair; larger values wrap around the matrix
 	// with fresh RNG replicas.
@@ -148,13 +139,6 @@ type Config struct {
 	// Sensor optionally attaches a CGM error model per session, driven
 	// by the session RNG. Nil reads the clean CGM.
 	Sensor *sensor.Config
-	// PerSessionStepping disables shard-batched physiology/sensor
-	// stepping on platforms that provide NewBatchPatient, building each
-	// session its own scalar patient (and sensor closure) instead. The
-	// two paths are bit-identical per session (the differential tests
-	// compare them); this is the escape hatch that keeps the per-session
-	// oracle reachable, mirroring TelemetryConfig.PerSession.
-	PerSessionStepping bool
 	// NewMonitor optionally builds a per-session safety monitor.
 	NewMonitor func(patientIdx int) (monitor.Monitor, error)
 	// NewBatchMonitor optionally builds one batched monitor per shard;
@@ -246,21 +230,13 @@ type Config struct {
 	plans []*fault.Plan
 }
 
-// numScenarios is the size of whichever scenario table is in force.
-func (c *Config) numScenarios() int {
-	if len(c.LegacyScenarios) > 0 {
-		return len(c.LegacyScenarios)
-	}
-	return len(c.Scenarios)
-}
-
 // Validate surfaces contradictory configurations as errors without
 // normalizing anything — the checks Run applies before filling
 // defaults, exposed so a control plane can reject a bad declared spec
 // up front (fleetd turns these into 400s) instead of discovering the
 // contradiction when the fleet starts.
 func (c Config) Validate() error {
-	if c.Platform.NewPatient == nil || c.Platform.NewController == nil {
+	if c.Platform.NewBatchPatient == nil || c.Platform.NewController == nil {
 		return fmt.Errorf("fleet: incomplete platform")
 	}
 	if c.Sessions < 0 {
@@ -284,9 +260,6 @@ func (c Config) Validate() error {
 	if c.NewMonitor != nil && c.NewBatchMonitor != nil {
 		return fmt.Errorf("fleet: NewMonitor and NewBatchMonitor are mutually exclusive")
 	}
-	if len(c.Scenarios) > 0 && len(c.LegacyScenarios) > 0 {
-		return fmt.Errorf("fleet: Scenarios and LegacyScenarios are mutually exclusive")
-	}
 	// Duplicate entries in either axis of the patient x scenario matrix
 	// would run indistinguishable sessions on distinct slots — almost
 	// always a config bug (a tenant admitting the same pair twice), and
@@ -308,20 +281,13 @@ func (c Config) Validate() error {
 		}
 		progSeen[p.Key()] = i
 	}
-	scSeen := make(map[fault.Scenario]int, len(c.LegacyScenarios))
-	for i, sc := range c.LegacyScenarios {
-		if j, dup := scSeen[sc]; dup {
-			return fmt.Errorf("fleet: duplicate scenario %s at LegacyScenarios[%d] and [%d]", sc.Fault.Name(), j, i)
-		}
-		scSeen[sc] = i
-	}
 	if c.SinkEpoch < 0 {
 		return fmt.Errorf("fleet: negative SinkEpoch %d", c.SinkEpoch)
 	}
 	if c.SinkEpoch > 0 && !c.ShardedSinks {
 		return fmt.Errorf("fleet: SinkEpoch requires ShardedSinks")
 	}
-	if c.Continuous && c.numScenarios() == 0 {
+	if c.Continuous && len(c.Scenarios) == 0 {
 		// A serving fleet runs its scenario table forever; defaulting to
 		// the full 882-scenario campaign is never what a continuous
 		// deployment meant — declare the table explicitly.
@@ -387,14 +353,14 @@ func (c Config) withDefaults() (Config, error) {
 			c.Patients[i] = i
 		}
 	}
-	if c.numScenarios() == 0 {
+	if len(c.Scenarios) == 0 {
 		c.Scenarios = fault.CampaignPrograms(nil)
 	}
 	if c.Sessions <= 0 && c.Admissions == nil {
 		// An admission-controlled fleet starts with exactly the declared
 		// static slots (possibly none); only batch runs default to the
 		// full matrix.
-		c.Sessions = len(c.Patients) * c.numScenarios()
+		c.Sessions = len(c.Patients) * len(c.Scenarios)
 	}
 	if c.Steps == 0 {
 		c.Steps = 150
@@ -436,15 +402,13 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	// Compile the program table once, now that the loop horizon is known;
 	// every session indexing Scenarios shares these plans.
-	if len(c.LegacyScenarios) == 0 {
-		c.plans = make([]*fault.Plan, len(c.Scenarios))
-		for i := range c.Scenarios {
-			pl, err := c.Scenarios[i].Compile(c.Steps, c.CycleMin)
-			if err != nil {
-				return c, fmt.Errorf("fleet: Scenarios[%d] (%s): %w", i, c.Scenarios[i].Name, err)
-			}
-			c.plans[i] = pl
+	c.plans = make([]*fault.Plan, len(c.Scenarios))
+	for i := range c.Scenarios {
+		pl, err := c.Scenarios[i].Compile(c.Steps, c.CycleMin)
+		if err != nil {
+			return c, fmt.Errorf("fleet: Scenarios[%d] (%s): %w", i, c.Scenarios[i].Name, err)
 		}
+		c.plans[i] = pl
 	}
 	return c, nil
 }
@@ -471,7 +435,7 @@ type spec struct {
 }
 
 func (c *Config) specFor(slot, replica int) spec {
-	n := c.numScenarios()
+	n := len(c.Scenarios)
 	matrix := len(c.Patients) * n
 	rem := slot % matrix
 	return spec{
@@ -685,28 +649,23 @@ func (e *engine) runShard(shard int) {
 	// Shard-batched physiology: the whole live window's ODE state lives
 	// in one struct-of-arrays bank advanced by a single batched RK4 call
 	// per round, with a matching per-lane sensor bank when a CGM error
-	// model is attached. Bit-identical per lane to the per-session path
-	// (Config.PerSessionStepping).
-	var batchPat sim.BatchPatient
+	// model is attached.
+	batchPat, err := cfg.Platform.NewBatchPatient(capLanes)
+	if err != nil {
+		e.errs[shard] = fmt.Errorf("fleet: shard %d batch patient: %w", shard, err)
+		return
+	}
 	var batchSensor *sensor.BatchModel
-	if cfg.Platform.NewBatchPatient != nil && !cfg.PerSessionStepping {
-		var err error
-		if batchPat, err = cfg.Platform.NewBatchPatient(capLanes); err != nil {
-			e.errs[shard] = fmt.Errorf("fleet: shard %d batch patient: %w", shard, err)
+	if cfg.Sensor != nil {
+		if batchSensor, err = sensor.NewBatchModel(capLanes); err != nil {
+			e.errs[shard] = fmt.Errorf("fleet: shard %d batch sensor: %w", shard, err)
 			return
-		}
-		if cfg.Sensor != nil {
-			if batchSensor, err = sensor.NewBatchModel(capLanes); err != nil {
-				e.errs[shard] = fmt.Errorf("fleet: shard %d batch sensor: %w", shard, err)
-				return
-			}
 		}
 	}
 
 	var bm monitor.BatchMonitor
 	var laneMargins laneMarginMonitor
 	if cfg.NewBatchMonitor != nil {
-		var err error
 		if bm, err = cfg.NewBatchMonitor(); err != nil {
 			e.errs[shard] = fmt.Errorf("fleet: shard %d batch monitor: %w", shard, err)
 			return
@@ -725,14 +684,13 @@ func (e *engine) runShard(shard int) {
 
 	// Shard-batched telemetry: the whole live window's rule streams
 	// advance in one struct-of-arrays push per cycle, bit-identical per
-	// lane to the per-session StreamSet path (TelemetryConfig.PerSession).
+	// lane to a per-session scs.StreamSet.
 	var batchTelem *scs.BatchStreamSet
 	var telemSamples []trace.Sample
 	var telemStates []scs.State
 	var telemLanes []int
 	var telemVerdicts []scs.StreamVerdict
-	if t := cfg.Telemetry; t != nil && !t.FromMonitor && !t.PerSession {
-		var err error
+	if t := cfg.Telemetry; t != nil && !t.FromMonitor {
 		batchTelem, err = scs.NewBatchStreamSet(t.Rules, t.Thresholds, t.Params, cfg.CycleMin, capLanes)
 		if err != nil {
 			e.errs[shard] = fmt.Errorf("fleet: shard %d telemetry: %w", shard, err)
@@ -757,8 +715,8 @@ func (e *engine) runShard(shard int) {
 		return -1
 	}
 	next := 0 // next queued slot
-	start := func(sp spec, lane int, telem *scs.StreamSet) (*Session, error) {
-		s, err := e.newSession(sp, lane, telem, batchPat, batchSensor)
+	start := func(sp spec, lane int) (*Session, error) {
+		s, err := e.newSession(sp, lane, batchPat, batchSensor)
 		if err != nil {
 			return nil, err
 		}
@@ -801,7 +759,7 @@ func (e *engine) runShard(shard int) {
 				e.errs[shard] = fmt.Errorf("fleet: restore slot %d: %w", ss.Slot, err)
 				return
 			}
-			s, err := start(sp, lane, nil)
+			s, err := start(sp, lane)
 			if err != nil {
 				e.errs[shard] = err
 				return
@@ -810,7 +768,7 @@ func (e *engine) runShard(shard int) {
 		}
 	}
 	for lane := 0; lane < window; lane++ {
-		s, err := start(cfg.specFor(slots[next], 0), lane, nil)
+		s, err := start(cfg.specFor(slots[next], 0), lane)
 		if err != nil {
 			e.errs[shard] = err
 			return
@@ -819,19 +777,17 @@ func (e *engine) runShard(shard int) {
 		live = append(live, s)
 	}
 
-	// Per-round scratch for the batched paths.
+	// Per-round scratch for the batched stages.
 	lanes := make([]int, 0, capLanes)
 	obs := make([]closedloop.Observation, 0, capLanes)
 	verdicts := make([]closedloop.Verdict, capLanes)
-	var cleanCGM, sensedCGM, tMins, delivered, carbs []float64
-	if batchPat != nil {
-		sensedCGM = make([]float64, capLanes)
-		delivered = make([]float64, capLanes)
-		carbs = make([]float64, capLanes)
-		if batchSensor != nil {
-			cleanCGM = make([]float64, 0, capLanes)
-			tMins = make([]float64, 0, capLanes)
-		}
+	sensedCGM := make([]float64, capLanes)
+	delivered := make([]float64, capLanes)
+	carbs := make([]float64, capLanes)
+	var cleanCGM, tMins []float64
+	if batchSensor != nil {
+		cleanCGM = make([]float64, 0, capLanes)
+		tMins = make([]float64, 0, capLanes)
 	}
 
 	round := 0  // global lock-step round: the shared clock admission gates key on
@@ -888,7 +844,7 @@ func (e *engine) runShard(shard int) {
 				if batchTelem != nil {
 					batchTelem.ResetLane(lane)
 				}
-				s, err := start(sp, lane, nil)
+				s, err := start(sp, lane)
 				if err != nil {
 					if sp.restore != nil {
 						// A bad session snapshot rejects that admission, not
@@ -913,17 +869,15 @@ func (e *engine) runShard(shard int) {
 		default:
 		}
 
-		switch {
-		case len(live) == 0:
-			// An empty admission-controlled shard still walks the round
-			// clock (and the sink barriers below) so it stays lock-step
-			// with the fleet.
-		case batchPat != nil:
-			// Fully batched round: one sensor sweep, the monitor decision
-			// (batched or per-session), then one struct-of-arrays ODE step
-			// advances every live session's physiology together. Each
-			// stage runs per lane in the same order with the same
-			// arithmetic as the scalar cycle, so traces stay identical.
+		// The round: one sensor sweep, the monitor decision (batched or
+		// per-session), then one struct-of-arrays ODE step advances every
+		// live session's physiology together. Each stage runs per lane in
+		// the same order with the same arithmetic as closedloop.Run's
+		// scalar cycle, so traces stay identical. An empty
+		// admission-controlled shard skips it but still walks the round
+		// clock (and the sink barriers below) so it stays lock-step with
+		// the fleet.
+		if len(live) > 0 {
 			lanes = lanes[:0]
 			for _, s := range live {
 				lanes = append(lanes, s.lane)
@@ -959,20 +913,6 @@ func (e *engine) runShard(shard int) {
 				delivered[i] = s.st.FinishStepDeferred(verdicts[i])
 			}
 			batchPat.StepLanes(lanes, delivered[:len(live)], carbs[:len(live)], cfg.CycleMin)
-		case bm != nil:
-			lanes, obs = lanes[:0], obs[:0]
-			for _, s := range live {
-				lanes = append(lanes, s.lane)
-				obs = append(obs, s.BeginStep())
-			}
-			bm.StepBatch(lanes, obs, verdicts[:len(live)])
-			for i, s := range live {
-				s.FinishStep(verdicts[i])
-			}
-		default:
-			for _, s := range live {
-				s.Step()
-			}
 		}
 		if batchTelem != nil && len(live) > 0 {
 			// One batched rule-stream push covers the whole window's
@@ -1041,10 +981,7 @@ func (e *engine) runShard(shard int) {
 			if batchTelem != nil {
 				batchTelem.ResetLane(s.lane)
 			}
-			// The retired session's telemetry streams reset and carry
-			// over, so continuous-mode replica churn does not rebuild
-			// rule sets.
-			ns, err := start(*refill, s.lane, s.telemetry)
+			ns, err := start(*refill, s.lane)
 			if err != nil {
 				e.errs[shard] = err
 				return
@@ -1083,13 +1020,13 @@ func (e *engine) runShard(shard int) {
 
 // noteStep streams the session's first monitor alarm as a live event
 // and, when telemetry is attached, emits the cycle's robustness margin
-// — from the shard-batched push (bv), the session's own streaming STL
-// rule set, or (FromMonitor) the monitor's single evaluation, so alarm
-// and telemetry never evaluate the rules twice. A non-nil sample is the
-// cycle's already-copied last sample (the batched path shares the copy
-// it made for the rule push); nil makes noteStep fetch it.
+// — from the shard-batched push (bv) or (FromMonitor) the monitor's
+// single evaluation, so alarm and telemetry never evaluate the rules
+// twice. A non-nil sample is the cycle's already-copied last sample
+// (the telemetry push shares the copy it made); nil makes noteStep
+// fetch it.
 func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *scs.StreamVerdict) error {
-	hasTelemetry := bv != nil || s.telemetry != nil || s.margin != nil
+	hasTelemetry := bv != nil || s.margin != nil
 	if !hasTelemetry && s.alarmed {
 		return nil // nothing left to observe: skip the sample copy
 	}
@@ -1112,20 +1049,14 @@ func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *sc
 		return nil
 	}
 	var v scs.StreamVerdict
-	switch {
-	case bv != nil:
+	if bv != nil {
 		v = *bv
-	case s.margin != nil:
+	} else {
 		sv, ok := s.margin.StreamVerdict()
 		if !ok {
 			return fmt.Errorf("fleet: session %d: monitor produced no streaming verdict", s.Index)
 		}
 		v = sv
-	default:
-		var err error
-		if v, err = s.telemetry.Push(scs.StateFromSample(sample)); err != nil {
-			return fmt.Errorf("fleet: session %d telemetry: %w", s.Index, err)
-		}
 	}
 	if every := e.cfg.Telemetry.Every; every == 1 || (sample.Step+1)%every == 0 {
 		e.emit(shard, Event{
@@ -1168,36 +1099,26 @@ func (e *engine) finalize(shard int, s *Session) {
 	}
 }
 
-// newSession builds the patient, controller, monitor, sensor, telemetry,
-// and stepper for one session slot. A telemetry stream set handed in
-// from a retired session is reset and reused. With a batched patient
-// bank the session's physiology is its lane of the bank (configured
-// here) and its sensor joins the shard's batched sensor sweep; the
-// session RNG seeds the lane's noise stream exactly as the scalar path
-// would, so the two paths draw identical noise.
-func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat sim.BatchPatient, batchSensor *sensor.BatchModel) (*Session, error) {
+// newSession builds the controller, monitor, and stepper for one
+// session slot. The session's physiology is its lane of the shard's
+// batched patient bank (configured here) and its sensor joins the
+// shard's batched sensor sweep, seeded from the session RNG.
+func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchSensor *sensor.BatchModel) (*Session, error) {
 	cfg := &e.cfg
 
 	// Resolve the session's scenario: an inline program (admitted with
-	// AdmitSpec.Program, compiled here against the fleet horizon), a
-	// compiled table entry (the default), or a legacy enum scenario (the
-	// differential oracle, stepped through the original Fault path).
+	// AdmitSpec.Program, compiled here against the fleet horizon) or a
+	// compiled table entry (the default).
 	var prog fault.Program
 	var plan *fault.Plan
-	var legacy *fault.Scenario
-	switch {
-	case sp.program != nil:
+	if sp.program != nil {
 		prog = *sp.program
 		pl, err := prog.Compile(cfg.Steps, cfg.CycleMin)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: session %d (patient %d): %w", sp.index, sp.patientIdx, err)
 		}
 		plan = pl
-	case len(cfg.LegacyScenarios) > 0:
-		sc := cfg.LegacyScenarios[sp.scenIdx]
-		legacy = &sc
-		prog = sc.Program()
-	default:
+	} else {
 		prog = cfg.Scenarios[sp.scenIdx]
 		plan = cfg.plans[sp.scenIdx]
 	}
@@ -1205,19 +1126,10 @@ func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat si
 		return fmt.Errorf("fleet: session %d (patient %d, %s): %w",
 			sp.index, sp.patientIdx, prog.Name, err)
 	}
-	var patient closedloop.Patient
-	if batchPat != nil {
-		if err := batchPat.ConfigureLane(lane, sp.patientIdx); err != nil {
-			return nil, wrap(err)
-		}
-		patient = sim.LaneView{B: batchPat, Lane: lane}
-	} else {
-		p, err := cfg.Platform.NewPatient(sp.patientIdx)
-		if err != nil {
-			return nil, wrap(err)
-		}
-		patient = p
+	if err := batchPat.ConfigureLane(lane, sp.patientIdx); err != nil {
+		return nil, wrap(err)
 	}
+	patient := sim.LaneView{B: batchPat, Lane: lane}
 	ctrl, err := cfg.Platform.NewController(patient.Basal())
 	if err != nil {
 		return nil, wrap(err)
@@ -1241,22 +1153,11 @@ func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat si
 	}
 	src := &countingSource{src: rand.NewSource(seed)}
 	rng := rand.New(src)
-	opts := closedloop.StepperOptions{Samples: e.pool.get()}
-	var sensorModel *sensor.Model
 	if cfg.Sensor != nil {
-		if batchSensor != nil {
-			// The lane joins the shard's batched sensor sweep instead of
-			// hooking the stepper: same config, same per-session RNG, so
-			// the lane's noise stream is the scalar model's stream.
-			if err := batchSensor.SetLane(lane, *cfg.Sensor, rng); err != nil {
-				return nil, wrap(err)
-			}
-		} else {
-			sensorModel, err = sensor.New(*cfg.Sensor, rng)
-			if err != nil {
-				return nil, wrap(err)
-			}
-			opts.Sensor = sensorModel.Read
+		// The lane joins the shard's batched sensor sweep: the session's
+		// own RNG drives the lane's noise stream.
+		if err := batchSensor.SetLane(lane, *cfg.Sensor, rng); err != nil {
+			return nil, wrap(err)
 		}
 	}
 	mitigation := cfg.Mitigation
@@ -1269,47 +1170,25 @@ func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat si
 		Controller: ctrl,
 		Monitor:    mon,
 		Mitigation: mitigation,
+		Plan:       plan, // InitialBG resolves from the plan
 	}
-	if legacy != nil {
-		loopCfg.InitialBG = legacy.InitialBG
-		if legacy.Fault.Duration > 0 {
-			f := legacy.Fault
-			loopCfg.Fault = &f
-		}
-	} else {
-		loopCfg.Plan = plan // InitialBG resolves from the plan
-	}
-	st, err := closedloop.NewStepper(loopCfg, opts)
+	st, err := closedloop.NewStepper(loopCfg, closedloop.StepperOptions{Samples: e.pool.get()})
 	if err != nil {
 		return nil, wrap(err)
 	}
 	var margin marginMonitor
-	if t := cfg.Telemetry; t != nil {
-		switch {
-		case t.FromMonitor:
-			// One-evaluation invariant: telemetry reads the monitor's own
-			// streaming verdicts instead of attaching a second rule set.
-			// With a batched monitor the shard assigns the lane adapter
-			// after construction.
-			if nm != nil {
-				mm, ok := mon.(marginMonitor)
-				if !ok {
-					return nil, wrap(fmt.Errorf(
-						"fleet: Telemetry.FromMonitor requires a margin-carrying monitor, got %T", mon))
-				}
-				margin = mm
-			}
-		case !t.PerSession:
-			// Default: the shard evaluates telemetry batched across its
-			// whole live window; nothing to attach per session.
-		case telem != nil:
-			telem.Reset()
-		default:
-			telem, err = scs.NewStreamSet(t.Rules, t.Thresholds, t.Params, cfg.CycleMin)
-			if err != nil {
-				return nil, wrap(err)
-			}
+	if t := cfg.Telemetry; t != nil && t.FromMonitor && nm != nil {
+		// One-evaluation invariant: telemetry reads the monitor's own
+		// streaming verdicts instead of attaching a second rule set. With
+		// a batched monitor the shard assigns the lane adapter after
+		// construction; without FromMonitor the shard evaluates telemetry
+		// batched across its whole live window.
+		mm, ok := mon.(marginMonitor)
+		if !ok {
+			return nil, wrap(fmt.Errorf(
+				"fleet: Telemetry.FromMonitor requires a margin-carrying monitor, got %T", mon))
 		}
+		margin = mm
 	}
 	if sp.restore != nil {
 		// Fast-forward the fresh stream to the captured draw position: no
@@ -1325,8 +1204,7 @@ func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat si
 		Program: prog, scenIdx: sp.scenIdx, program: sp.program, group: sp.group,
 		newMonitor: sp.newMonitor, mitigate: sp.mitigate,
 		lane: lane, rng: rng, seed: seed, src: src,
-		mon: mon, sensorModel: sensorModel, st: st,
-		telemetry: telem, margin: margin,
+		mon: mon, st: st, margin: margin,
 	}, nil
 }
 

@@ -6,8 +6,6 @@ import (
 	"repro/internal/closedloop"
 	"repro/internal/fault"
 	"repro/internal/monitor"
-	"repro/internal/scs"
-	"repro/internal/sensor"
 	"repro/internal/trace"
 )
 
@@ -20,8 +18,7 @@ type Session struct {
 	// Index is the session's slot in Result.Traces.
 	Index int
 	// PatientIdx is the cohort index; Program the scenario program the
-	// session runs (legacy enum scenarios appear in their bridged
-	// program form — display metadata, not the execution path).
+	// session runs.
 	PatientIdx int
 	Program    fault.Program
 	// Replica numbers restarts of this slot in continuous mode; each
@@ -35,22 +32,19 @@ type Session struct {
 	// into continuous-mode replica restarts.
 	newMonitor func(patientIdx int) (monitor.Monitor, error)
 	mitigate   bool
-	lane       int // shard-local lane for batched monitors
+	lane       int // shard-local lane in the batched banks
 	rng        *rand.Rand
 	// seed is the derived per-session seed and src the counting source
 	// behind rng; together they pin the RNG stream position a snapshot
 	// records (snapshot.go).
 	seed int64
 	src  *countingSource
-	// mon is the session's own monitor (nil with a shard-batched one) and
-	// sensorModel its scalar sensor model (nil when the shard batches
-	// sensing); both retained for checkpointing.
-	mon         monitor.Monitor
-	sensorModel *sensor.Model
-	st          *closedloop.Stepper
-	alarmed     bool
-	telemetry   *scs.StreamSet // streaming STL rule set (Config.Telemetry)
-	margin      marginMonitor  // monitor-sourced telemetry (FromMonitor)
+	// mon is the session's own monitor (nil with a shard-batched one),
+	// retained for checkpointing.
+	mon     monitor.Monitor
+	st      *closedloop.Stepper
+	alarmed bool
+	margin  marginMonitor // monitor-sourced telemetry (FromMonitor)
 }
 
 // LastVerdict returns the monitor verdict of the most recently
@@ -62,16 +56,6 @@ func (s *Session) Done() bool { return s.st.Done() }
 
 // StepIndex returns the next cycle index.
 func (s *Session) StepIndex() int { return s.st.StepIndex() }
-
-// Step runs one full cycle with the session's own monitor (if any).
-func (s *Session) Step() { s.st.Step() }
-
-// BeginStep advances to the monitor decision point and returns the
-// observation for batched evaluation.
-func (s *Session) BeginStep() closedloop.Observation { return s.st.BeginStep() }
-
-// FinishStep applies an externally computed verdict (batched inference).
-func (s *Session) FinishStep(v closedloop.Verdict) { s.st.FinishStep(v) }
 
 // Finish labels and returns the session's trace.
 func (s *Session) Finish() *trace.Trace { return s.st.Finish() }

@@ -331,8 +331,8 @@ func restoredSpec(ss *SessionSnapshot) (spec, error) {
 }
 
 // snapshotSession serializes one live session at a cycle boundary. The
-// shard-batched banks are read at the session's lane; per-session
-// components are read directly.
+// shard-batched banks are read at the session's lane; a per-session
+// monitor is read directly.
 func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem *scs.BatchStreamSet, batchSensor *sensor.BatchModel) (SessionSnapshot, error) {
 	if s.newMonitor != nil {
 		return SessionSnapshot{}, fmt.Errorf(
@@ -343,16 +343,9 @@ func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem
 		return SessionSnapshot{}, fmt.Errorf("fleet: session %d: %w", s.Index, err)
 	}
 
-	enc.Bool(e.cfg.Sensor != nil)
-	if e.cfg.Sensor != nil {
-		switch {
-		case batchSensor != nil:
-			batchSensor.SnapshotLane(s.lane, enc)
-		case s.sensorModel != nil:
-			s.sensorModel.SnapshotState(enc)
-		default:
-			return SessionSnapshot{}, fmt.Errorf("fleet: session %d: sensor configured but no model attached", s.Index)
-		}
+	enc.Bool(batchSensor != nil)
+	if batchSensor != nil {
+		batchSensor.SnapshotLane(s.lane, enc)
 	}
 
 	hasMon := bm != nil || s.mon != nil
@@ -372,13 +365,9 @@ func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem
 		sn.SnapshotState(enc)
 	}
 
-	hasTelem := batchTelem != nil || s.telemetry != nil
-	enc.Bool(hasTelem)
-	switch {
-	case batchTelem != nil:
+	enc.Bool(batchTelem != nil)
+	if batchTelem != nil {
 		batchTelem.SnapshotLane(s.lane, enc)
-	case s.telemetry != nil:
-		s.telemetry.SnapshotState(enc)
 	}
 
 	progText := ""
@@ -416,20 +405,11 @@ func (e *engine) restoreSessionState(s *Session, ss *SessionSnapshot, bm monitor
 	if err := dec.Err(); err != nil {
 		return wrap(err)
 	}
-	if hadSensor != (e.cfg.Sensor != nil) {
-		return wrap(fmt.Errorf("sensor presence mismatch: snapshot %v, config %v", hadSensor, e.cfg.Sensor != nil))
+	if hadSensor != (batchSensor != nil) {
+		return wrap(fmt.Errorf("sensor presence mismatch: snapshot %v, config %v", hadSensor, batchSensor != nil))
 	}
 	if hadSensor {
-		var err error
-		switch {
-		case batchSensor != nil:
-			err = batchSensor.RestoreLane(s.lane, dec)
-		case s.sensorModel != nil:
-			err = s.sensorModel.RestoreState(dec)
-		default:
-			err = fmt.Errorf("sensor configured but no model attached")
-		}
-		if err != nil {
+		if err := batchSensor.RestoreLane(s.lane, dec); err != nil {
 			return wrap(fmt.Errorf("sensor: %w", err))
 		}
 	}
@@ -466,18 +446,11 @@ func (e *engine) restoreSessionState(s *Session, ss *SessionSnapshot, bm monitor
 	if err := dec.Err(); err != nil {
 		return wrap(err)
 	}
-	hasTelem := batchTelem != nil || s.telemetry != nil
-	if hadTelem != hasTelem {
-		return wrap(fmt.Errorf("telemetry presence mismatch: snapshot %v, config %v", hadTelem, hasTelem))
+	if hadTelem != (batchTelem != nil) {
+		return wrap(fmt.Errorf("telemetry presence mismatch: snapshot %v, config %v", hadTelem, batchTelem != nil))
 	}
 	if hadTelem {
-		var err error
-		if batchTelem != nil {
-			err = batchTelem.RestoreLane(s.lane, dec)
-		} else {
-			err = s.telemetry.RestoreState(dec)
-		}
-		if err != nil {
+		if err := batchTelem.RestoreLane(s.lane, dec); err != nil {
 			return wrap(fmt.Errorf("telemetry: %w", err))
 		}
 	}

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -45,6 +46,42 @@ func TestMLPBatchMatchesPerSample(t *testing.T) {
 			t.Fatalf("reused batch diverged at %d", i)
 		}
 	}
+}
+
+// TestMLPPredictConcurrent: one trained model serves several goroutines
+// at once (fleet shards share it through per-session monitors), so
+// concurrent PredictProba calls must return exactly the serial
+// probabilities. Under -race this also proves inference writes no
+// shared state.
+func TestMLPPredictConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	X, y := syntheticData(300, 6, rng)
+	m, err := FitMLP(X, y, MLPConfig{Hidden: []int{32, 16}, Classes: 3, Epochs: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Q, _ := syntheticData(200, 6, rng)
+	want := make([][]float64, len(Q))
+	for i, x := range Q {
+		want[i] = m.PredictProba(x)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, x := range Q {
+				got := m.PredictProba(x)
+				for c := range got {
+					if got[c] != want[i][c] {
+						t.Errorf("sample %d class %d: concurrent %v, serial %v", i, c, got[c], want[i][c])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTreeBatchMatchesPerSample(t *testing.T) {

@@ -130,14 +130,13 @@ func (l *denseLayer) step(batch float64) {
 	}
 }
 
-// MLP is the multi-layer perceptron baseline monitor model.
+// MLP is the multi-layer perceptron baseline monitor model. A trained
+// model is read-only: inference works in per-call scratch, so one model
+// may serve any number of goroutines (the fleet's shards share it).
 type MLP struct {
 	cfg    MLPConfig
 	layers []*denseLayer
 	std    *Standardizer
-
-	// scratch buffers for inference
-	acts [][]float64
 }
 
 var _ Classifier = (*MLP)(nil)
@@ -163,11 +162,6 @@ func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error)
 	for i := 0; i+1 < len(dims); i++ {
 		m.layers = append(m.layers, newDenseLayer(dims[i], dims[i+1], cfg.LearningRate, rng))
 	}
-	m.acts = make([][]float64, len(m.layers)+1)
-	for i := range m.acts {
-		m.acts[i] = make([]float64, dims[i])
-	}
-
 	trainIdx, valIdx := TrainTestSplit(len(Xs), cfg.ValFraction, rng)
 
 	// Per-sample training buffers.
@@ -275,29 +269,45 @@ func (m *MLP) meanLoss(X [][]float64, y []int, idx []int, probs []float64) float
 	if len(idx) == 0 {
 		return 0
 	}
+	scratch := m.inferScratch()
 	var sum float64
 	for _, i := range idx {
-		m.forwardInfer(X[i])
-		softmax(m.acts[len(m.layers)], probs)
+		softmax(m.forwardInfer(X[i], scratch), probs)
 		sum += crossEntropy(probs, y[i])
 	}
 	return sum / float64(len(idx))
 }
 
-// forwardInfer runs a deterministic pass (no dropout) on standardized x.
-func (m *MLP) forwardInfer(x []float64) {
-	copy(m.acts[0], x)
+// inferScratch allocates the caller-owned scratch one forwardInfer pass
+// needs: two ping-pong buffers as wide as the widest layer output.
+func (m *MLP) inferScratch() []float64 {
+	w := 0
+	for _, l := range m.layers {
+		w = max(w, l.out)
+	}
+	return make([]float64, 2*w)
+}
+
+// forwardInfer runs a deterministic pass (no dropout) on standardized x
+// through scratch (from inferScratch) and returns the output logits,
+// which alias scratch. The model itself is only read.
+func (m *MLP) forwardInfer(x, scratch []float64) []float64 {
+	w := len(scratch) / 2
+	in, next, spare := x, scratch[:w], scratch[w:]
 	nL := len(m.layers)
 	for li, l := range m.layers {
-		l.forward(m.acts[li], m.acts[li+1])
+		out := next[:l.out]
+		l.forward(in, out)
 		if li != nL-1 {
-			for i := range m.acts[li+1] {
-				if m.acts[li+1][i] < 0 {
-					m.acts[li+1][i] = 0
+			for i := range out {
+				if out[i] < 0 {
+					out[i] = 0
 				}
 			}
 		}
+		in, next, spare = out, spare, next
 	}
+	return in
 }
 
 func (m *MLP) snapshot() [][]float64 {
@@ -321,9 +331,8 @@ func (m *MLP) restore(weights [][]float64) {
 
 // PredictProba implements Classifier.
 func (m *MLP) PredictProba(x []float64) []float64 {
-	m.forwardInfer(m.std.Transform(x))
 	out := make([]float64, m.cfg.Classes)
-	softmax(m.acts[len(m.layers)], out)
+	softmax(m.forwardInfer(m.std.Transform(x), m.inferScratch()), out)
 	return out
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/scs"
 	"repro/internal/sensor"
+	"repro/internal/sim"
 	"repro/internal/sim/glucosym"
 	"repro/internal/trace"
 )
@@ -33,6 +34,9 @@ func diffTraces(t *testing.T, noise float64, seed int64) []*trace.Trace {
 			NumPatients: glucosym.NumPatients,
 			NewPatient: func(idx int) (closedloop.Patient, error) {
 				return glucosym.New(idx)
+			},
+			NewBatchPatient: func(lanes int) (sim.BatchPatient, error) {
+				return glucosym.NewBatch(lanes)
 			},
 			NewController: func(basal float64) (control.Controller, error) {
 				return control.NewOpenAPS(control.OpenAPSConfig{Basal: basal, ISF: 50})

@@ -26,7 +26,9 @@
 // alarms, hazards, margins, rule attributions, and confidences — so a
 // fleet can switch between shapes without changing a single trace
 // (TestFleetBatchedMonitorMatchesPerSession,
-// TestBatchCAWTMatchesPerSession).
+// TestBatchCAWTMatchesPerSession). Per-session ML monitors built over
+// one trained model share it across fleet shards; the models' inference
+// is re-entrant (per-call scratch), so that sharing is safe.
 //
 // The one-evaluation invariant: the streaming context-aware monitors
 // own exactly one rule-stream evaluation per cycle, and alarm, hazard

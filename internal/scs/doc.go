@@ -33,7 +33,9 @@
 //     to a per-session StreamSet — margins, arg-min rules, and hazards
 //     included — enforced by TestBatchStreamSetMatchesPerSession over
 //     randomized boundary-hugging states, staggered lane resets, and
-//     randomized thresholds. The verdict fold per lane is the exact
+//     randomized thresholds, and at fleet scale by
+//     TestFleetBatchedTelemetryMatchesPerSession, which replays every
+//     fleet trace through its own StreamSet. The verdict fold per lane is the exact
 //     same arithmetic in the exact same order; only the loop over
 //     sessions moved inside the node DAG.
 //
