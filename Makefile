@@ -30,14 +30,15 @@ bench:
 ## bench-smoke: the fast hot-path benchmarks CI tracks per commit — the
 ## streaming STL push, the streaming-vs-legacy CAWT step (the redesign's
 ## "streaming no slower than legacy" guard), the per-session-vs-batched
-## rule-evaluation kernel, the per-session-vs-batched patient stepping
+## rule-evaluation kernel, the controller's IOB tracker cycle (tabulated
+## insulin curve, prefix pruning), the per-session-vs-batched patient stepping
 ## kernel (the SoA speedup guard; fewer iterations — each op steps a
 ## 128-lane bank), and the sink delivery shapes (collector vs run-end
 ## merge vs epoch merge; fewer iterations — each op is a whole
 ## 100-session fleet). Output lands in bench-smoke.txt for the CI
 ## artifact.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush|BenchmarkIOBTracker' \
 		-benchtime 1000x -benchmem . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchPatientStep' \
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }

@@ -20,16 +20,19 @@ package apsmonitor_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	apsmonitor "repro"
 	"repro/internal/closedloop"
+	"repro/internal/control"
 	"repro/internal/experiment"
 	"repro/internal/fleet"
 	"repro/internal/ml"
 	"repro/internal/monitor"
+	"repro/internal/risk"
 	"repro/internal/scs"
 	"repro/internal/sim"
 	"repro/internal/sim/glucosym"
@@ -877,5 +880,51 @@ func BenchmarkBatchPatientStep(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)*lanes/b.Elapsed().Seconds(), "lane-steps/s")
 		})
+	}
+}
+
+// BenchmarkIOBTracker is the controller/IOB layer's kernel: one control
+// cycle of an IOBTracker holding 60 live doses (DIA 300 min at 5-min
+// cycles) — Record, which prunes the expired dose, then IOB and
+// Activity, the two queries OpenAPS.Decide makes every cycle.
+func BenchmarkIOBTracker(b *testing.B) {
+	curve, err := control.NewExponentialCurve(300, 75)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := control.NewIOBTracker(curve, 1)
+	rng := rand.New(rand.NewSource(29))
+	rates := make([]float64, 256)
+	for k := range rates {
+		rates[k] = 3 * rng.Float64()
+	}
+	for k := 0; k < 60; k++ {
+		tr.Record(rates[k], 5)
+	}
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Record(rates[i%len(rates)], 5)
+		sink += tr.IOB() + tr.Activity()
+	}
+	benchFloatSink = sink
+}
+
+var benchFloatSink float64
+
+// BenchmarkLabel is the post-run labelling layer's kernel: Kovatchev
+// hazard labels for one day-long session (288 five-minute samples)
+// swinging between hypo- and hyperglycemia.
+func BenchmarkLabel(b *testing.B) {
+	tr := &trace.Trace{CycleMin: 5}
+	for i := 0; i < 288; i++ {
+		bg := 160 + 120*math.Sin(float64(i)/23)
+		tr.Samples = append(tr.Samples, trace.Sample{Step: i, BG: bg, CGM: bg})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		risk.Labeler{}.Label(tr)
 	}
 }

@@ -6,6 +6,7 @@ package control
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // InsulinCurve models the residual fraction of an insulin dose that is
@@ -24,26 +25,86 @@ type InsulinCurve interface {
 
 // ExponentialCurve is the oref0 exponential insulin activity model with a
 // configurable peak time and duration of insulin action.
+//
+// NewExponentialCurve memoises one curve per (DIA, peak) for the whole
+// process, so every controller and monitor-side tracker in every fleet
+// shard shares it. A curve is read-only after construction; that is what
+// makes the sharing safe without a lock.
+//
+// Each curve holds IOBFraction and Activity tables on the half-minute
+// grid t = i/2, i = 0..⌊2·DIA⌋, filled by the closed form itself. A
+// lookup reads table[i] only when 2t is exactly the integer i. Doubling
+// is exact in binary floating point, so then t == i/2 and the entry is
+// bit-for-bit the formula's value at t. Every other age (off the grid,
+// at or below zero, past the table, NaN) evaluates the formula. Dose
+// ages are on the grid whenever the control cycle is a whole number of
+// half-minutes: the tracker clock advances by the cycle and each dose
+// sits at its interval's midpoint.
 type ExponentialCurve struct {
 	dia  float64 // duration of insulin action, min
 	peak float64 // activity peak time, min
 	tau  float64
 	a    float64
 	s    float64
+
+	iobTab []float64 // iobFraction(i/2)
+	actTab []float64 // activity(i/2)
 }
 
 var _ InsulinCurve = (*ExponentialCurve)(nil)
 
-// NewExponentialCurve builds the oref0 exponential curve. Typical values:
-// dia 300 min, peak 75 min (rapid-acting insulin).
+// maxTabulatedDIA bounds the table size (2·DIA+1 entries per table). A
+// longer action time than a day is not physiological; such a curve
+// keeps empty tables and always evaluates the formula.
+const maxTabulatedDIA = 24 * 60
+
+// expCurves memoises NewExponentialCurve per (dia, peak).
+var (
+	expCurvesMu sync.Mutex
+	expCurves   = map[[2]float64]*ExponentialCurve{}
+)
+
+// NewExponentialCurve returns the shared oref0 exponential curve for the
+// pair. Typical values: dia 300 min, peak 75 min (rapid-acting insulin).
+// Both must be finite, with 0 < peak < dia/2.
 func NewExponentialCurve(diaMin, peakMin float64) (*ExponentialCurve, error) {
-	if diaMin <= 0 || peakMin <= 0 || peakMin >= diaMin/2 {
-		return nil, fmt.Errorf("control: invalid curve dia=%v peak=%v (need 0 < peak < dia/2)", diaMin, peakMin)
+	if !(diaMin > 0 && peakMin > 0 && peakMin < diaMin/2) || math.IsInf(diaMin, 1) {
+		return nil, fmt.Errorf("control: invalid curve dia=%v peak=%v (need finite 0 < peak < dia/2)", diaMin, peakMin)
+	}
+	key := [2]float64{diaMin, peakMin}
+	expCurvesMu.Lock()
+	defer expCurvesMu.Unlock()
+	if c, ok := expCurves[key]; ok {
+		return c, nil
 	}
 	tau := peakMin * (1 - peakMin/diaMin) / (1 - 2*peakMin/diaMin)
 	a := 2 * tau / diaMin
 	s := 1 / (1 - a + (1+a)*math.Exp(-diaMin/tau))
-	return &ExponentialCurve{dia: diaMin, peak: peakMin, tau: tau, a: a, s: s}, nil
+	c := &ExponentialCurve{dia: diaMin, peak: peakMin, tau: tau, a: a, s: s}
+	if diaMin <= maxTabulatedDIA {
+		n := int(2*diaMin) + 1
+		c.iobTab = make([]float64, n)
+		c.actTab = make([]float64, n)
+		for i := range n {
+			t := float64(i) / 2
+			c.iobTab[i] = c.iobFraction(t)
+			c.actTab[i] = c.activity(t)
+		}
+	}
+	expCurves[key] = c
+	return c, nil
+}
+
+// gridIndex returns i when t == i/2 exactly and i indexes a table of n
+// entries. Zero is left to the formula: 2·(-0) == 0 would map -0 onto
+// the +0 entry, and Activity(-0) is -0.
+func gridIndex(t float64, n int) (int, bool) {
+	x := 2 * t
+	if !(x > 0 && x < float64(n)) {
+		return 0, false
+	}
+	i := int(x)
+	return i, float64(i) == x
 }
 
 // DIA implements InsulinCurve.
@@ -51,14 +112,30 @@ func (c *ExponentialCurve) DIA() float64 { return c.dia }
 
 // Activity implements InsulinCurve.
 func (c *ExponentialCurve) Activity(t float64) float64 {
+	if i, ok := gridIndex(t, len(c.actTab)); ok {
+		return c.actTab[i]
+	}
+	return c.activity(t)
+}
+
+// IOBFraction implements InsulinCurve.
+func (c *ExponentialCurve) IOBFraction(t float64) float64 {
+	if i, ok := gridIndex(t, len(c.iobTab)); ok {
+		return c.iobTab[i]
+	}
+	return c.iobFraction(t)
+}
+
+// activity is the closed-form activity density.
+func (c *ExponentialCurve) activity(t float64) float64 {
 	if t < 0 || t > c.dia {
 		return 0
 	}
 	return c.s / (c.tau * c.tau) * t * (1 - t/c.dia) * math.Exp(-t/c.tau)
 }
 
-// IOBFraction implements InsulinCurve.
-func (c *ExponentialCurve) IOBFraction(t float64) float64 {
+// iobFraction is the closed-form remaining active fraction.
+func (c *ExponentialCurve) iobFraction(t float64) float64 {
 	if t < 0 {
 		return 1
 	}
@@ -160,6 +237,7 @@ func NewIOBTracker(curve InsulinCurve, basalUPerH float64) *IOBTracker {
 
 // Record adds a delivery of rate U/h sustained for dtMin minutes ending
 // at the tracker's current time plus dtMin, then advances the clock.
+// dtMin must not be negative, so that doses stay in time order.
 func (t *IOBTracker) Record(rateUPerH, dtMin float64) {
 	net := (rateUPerH - t.basal) * dtMin / 60 // net units over the interval
 	// Attribute the dose to the midpoint of the interval.
@@ -168,15 +246,18 @@ func (t *IOBTracker) Record(rateUPerH, dtMin float64) {
 	t.prune()
 }
 
+// prune drops the expired doses. Record appends in time order and
+// RestoreState rejects any other order, so the expired doses are a
+// prefix; it is removed in place.
 func (t *IOBTracker) prune() {
 	dia := t.curve.DIA()
-	keep := t.doses[:0]
-	for _, d := range t.doses {
-		if t.now-d.timeMin <= dia {
-			keep = append(keep, d)
-		}
+	k := 0
+	for k < len(t.doses) && !(t.now-t.doses[k].timeMin <= dia) {
+		k++
 	}
-	t.doses = keep
+	if k > 0 {
+		t.doses = t.doses[:copy(t.doses, t.doses[k:])]
+	}
 }
 
 // IOB returns the current net insulin on board in units. Positive values

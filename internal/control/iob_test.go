@@ -2,6 +2,8 @@ package control
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -24,6 +26,9 @@ func TestExponentialCurveValidation(t *testing.T) {
 		{"zero peak", 300, 0},
 		{"peak at half dia", 300, 150},
 		{"peak beyond half dia", 300, 200},
+		{"NaN dia", math.NaN(), 75},
+		{"NaN peak", 300, math.NaN()},
+		{"infinite dia", math.Inf(1), 75},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -226,5 +231,171 @@ func TestIOBTrackerBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// closedForm is the oref0 exponential curve evaluated from scratch: the
+// reference the tabulated lookups must reproduce bit for bit.
+func closedForm(dia, peak, t float64) (iob, act float64) {
+	tau := peak * (1 - peak/dia) / (1 - 2*peak/dia)
+	a := 2 * tau / dia
+	s := 1 / (1 - a + (1+a)*math.Exp(-dia/tau))
+	switch {
+	case t < 0:
+		iob = 1
+	case t > dia:
+		iob = 0
+	default:
+		iob = 1 - s*(1-a)*((t*t/(tau*dia*(1-a))-t/tau-1)*math.Exp(-t/tau)+1)
+		iob = math.Min(math.Max(iob, 0), 1)
+	}
+	if !(t < 0 || t > dia) {
+		act = s / (tau * tau) * t * (1 - t/dia) * math.Exp(-t/tau)
+	}
+	return iob, act
+}
+
+func TestExponentialCurveTableMatchesClosedForm(t *testing.T) {
+	for _, p := range []struct{ dia, peak float64 }{
+		{300, 75}, {299.75, 60}, {180, 55}, {480, 90},
+	} {
+		c, err := NewExponentialCurve(p.dia, p.peak)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(2*p.dia) + 1; len(c.iobTab) != n || len(c.actTab) != n {
+			t.Fatalf("dia %v: tables have %d/%d entries, want %d", p.dia, len(c.iobTab), len(c.actTab), n)
+		}
+		check := func(age float64) {
+			t.Helper()
+			wantIOB, wantAct := closedForm(p.dia, p.peak, age)
+			if got := c.IOBFraction(age); math.Float64bits(got) != math.Float64bits(wantIOB) {
+				t.Errorf("(%v,%v) IOBFraction(%v) = %v, closed form %v", p.dia, p.peak, age, got, wantIOB)
+			}
+			if got := c.Activity(age); math.Float64bits(got) != math.Float64bits(wantAct) {
+				t.Errorf("(%v,%v) Activity(%v) = %v, closed form %v", p.dia, p.peak, age, got, wantAct)
+			}
+		}
+		for i := range c.iobTab {
+			check(float64(i) / 2)
+		}
+		for _, age := range []float64{2.25, p.dia - 0.1, -1, p.dia + 0.5, math.NaN(), math.Copysign(0, -1), 1e300} {
+			check(age)
+		}
+	}
+}
+
+func TestGridIndex(t *testing.T) {
+	for _, tc := range []struct {
+		age float64
+		i   int
+		ok  bool
+	}{
+		{0.5, 1, true}, {2.5, 5, true}, {300, 600, true},
+		{0, 0, false}, {math.Copysign(0, -1), 0, false}, {2.25, 0, false},
+		{-0.5, 0, false}, {300.5, 0, false}, {math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+	} {
+		i, ok := gridIndex(tc.age, 601)
+		if ok != tc.ok || (ok && i != tc.i) {
+			t.Errorf("gridIndex(%v) = %d, %v; want %d, %v", tc.age, i, ok, tc.i, tc.ok)
+		}
+	}
+}
+
+func TestNewExponentialCurveShared(t *testing.T) {
+	a, b := mustExpCurve(t), mustExpCurve(t)
+	if a != b {
+		t.Error("NewExponentialCurve(300, 75) returned two curves")
+	}
+	other, err := NewExponentialCurve(300, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == a {
+		t.Error("different peaks share a curve")
+	}
+	// 8 goroutines ask at once, for the default pair and for a pair
+	// no other test builds; each must see one curve.
+	for _, p := range [][2]float64{{300, 75}, {333.5, 71}} {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		got := make([]*ExponentialCurve, 8)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c, err := NewExponentialCurve(p[0], p[1])
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = c
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, c := range got {
+			if c == nil || c != got[0] {
+				t.Fatalf("(%v,%v): goroutine %d got %p, goroutine 0 got %p", p[0], p[1], g, c, got[0])
+			}
+		}
+	}
+}
+
+func TestExponentialCurveLongDIAUntabulated(t *testing.T) {
+	c, err := NewExponentialCurve(maxTabulatedDIA+1, 75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.iobTab) != 0 || len(c.actTab) != 0 {
+		t.Fatalf("tables of %d/%d entries past maxTabulatedDIA", len(c.iobTab), len(c.actTab))
+	}
+	want, _ := closedForm(maxTabulatedDIA+1, 75, 100)
+	if got := c.IOBFraction(100); got != want {
+		t.Errorf("IOBFraction(100) = %v, closed form %v", got, want)
+	}
+}
+
+// TestIOBTrackerMatchesUnprunedReference drives the tracker with random
+// rates and cycle lengths (on and off the half-minute grid) against a
+// reference that keeps every dose, filters by age on each query and
+// evaluates the closed form: prefix pruning and table lookups together
+// must leave IOB and Activity bit-identical.
+func TestIOBTrackerMatchesUnprunedReference(t *testing.T) {
+	const dia, peak = 300.0, 75.0
+	c, err := NewExponentialCurve(dia, peak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, cycles := range [][]float64{{5}, {3, 0.5, 10}, {0.7, 5, 2.3}} {
+		tr := NewIOBTracker(c, 1.2)
+		var all []dose
+		var now float64
+		for step := 0; step < 400; step++ {
+			dt := cycles[rng.Intn(len(cycles))]
+			rate := 4 * rng.Float64()
+			tr.Record(rate, dt)
+			all = append(all, dose{timeMin: now + dt/2, units: (rate - 1.2) * dt / 60})
+			now += dt
+			var wantIOB, wantAct float64
+			for _, d := range all {
+				if now-d.timeMin <= dia {
+					iob, act := closedForm(dia, peak, now-d.timeMin)
+					wantIOB += d.units * iob
+					wantAct += d.units * act
+				}
+			}
+			if got := tr.IOB(); math.Float64bits(got) != math.Float64bits(wantIOB) {
+				t.Fatalf("cycles %v step %d: IOB %v, reference %v", cycles, step, got, wantIOB)
+			}
+			if got := tr.Activity(); math.Float64bits(got) != math.Float64bits(wantAct) {
+				t.Fatalf("cycles %v step %d: Activity %v, reference %v", cycles, step, got, wantAct)
+			}
+		}
+		if max := int(dia/0.5) + 1; len(tr.doses) > max {
+			t.Errorf("cycles %v: %d doses kept, at most %d can be live", cycles, len(tr.doses), max)
+		}
 	}
 }

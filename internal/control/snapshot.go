@@ -28,7 +28,8 @@ func (t *IOBTracker) SnapshotState(enc *snapshot.Encoder) {
 	}
 }
 
-// RestoreState implements snapshot.Snapshotter.
+// RestoreState implements snapshot.Snapshotter. It rejects a dose
+// history whose times are not non-decreasing.
 func (t *IOBTracker) RestoreState(dec *snapshot.Decoder) error {
 	now := dec.Float64()
 	n := dec.Count(16)
@@ -41,6 +42,13 @@ func (t *IOBTracker) RestoreState(dec *snapshot.Decoder) error {
 	}
 	if err := dec.Err(); err != nil {
 		return err
+	}
+	// prune drops expired doses as a prefix, which needs time order.
+	// The negated test also rejects a NaN time.
+	for i := 1; i < n; i++ {
+		if !(doses[i].timeMin >= doses[i-1].timeMin) {
+			return fmt.Errorf("control: iob dose %d at %v min is out of time order (previous %v min)", i, doses[i].timeMin, doses[i-1].timeMin)
+		}
 	}
 	t.now = now
 	t.doses = doses

@@ -62,15 +62,19 @@ func Indices(window []float64) (lbgi, hbgi float64) {
 		return 0, 0
 	}
 	for _, bg := range window {
-		s := Signed(bg)
-		if s < 0 {
-			lbgi += -s
-		} else {
-			hbgi += s
-		}
+		lbgi, hbgi = addSigned(lbgi, hbgi, Signed(bg))
 	}
 	n := float64(len(window))
 	return lbgi / n, hbgi / n
+}
+
+// addSigned adds one signed risk to the branch sums. Indices and Label
+// both accumulate through it, so their sums agree bit for bit.
+func addSigned(lbgi, hbgi, s float64) (float64, float64) {
+	if s < 0 {
+		return lbgi - s, hbgi
+	}
+	return lbgi, hbgi + s
 }
 
 // MeanRiskIndex returns the average (unsigned) risk index of a BG series,
@@ -116,16 +120,21 @@ func (l Labeler) fill() Labeler {
 // HBGI crosses its high-risk threshold while increasing relative to the
 // previous window. All samples of a flagged window receive the hazard
 // label (H1 for LBGI, H2 for HBGI; H1 wins if both fire).
+//
+// Signed is evaluated once per sample; each window then sums those
+// values in the order Indices would, so the indices equal Indices over
+// the window's BG readings bit for bit.
 func (l Labeler) Label(tr *trace.Trace) {
 	l = l.fill()
 	n := tr.Len()
 	if n == 0 {
 		return
 	}
+	signed := make([]float64, n)
 	for i := range tr.Samples {
 		tr.Samples[i].Hazard = trace.HazardNone
+		signed[i] = Signed(tr.Samples[i].BG)
 	}
-	bgs := tr.BGSeries()
 	w := l.Window
 	if w > n {
 		w = n
@@ -133,7 +142,12 @@ func (l Labeler) Label(tr *trace.Trace) {
 	prevL, prevH := math.Inf(1), math.Inf(1)
 	for end := w; end <= n; end++ {
 		lo := end - w
-		lbgi, hbgi := Indices(bgs[lo:end])
+		var lbgi, hbgi float64
+		for _, sr := range signed[lo:end] {
+			lbgi, hbgi = addSigned(lbgi, hbgi, sr)
+		}
+		lbgi /= float64(w)
+		hbgi /= float64(w)
 		var h trace.HazardType
 		switch {
 		case lbgi > l.LBGIThreshold && lbgi >= prevL:

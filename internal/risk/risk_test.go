@@ -2,6 +2,7 @@ package risk
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +248,138 @@ func TestIndicesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleIndices is the per-window index computation Label used to run:
+// Signed evaluated afresh for every reading of every window.
+func oracleIndices(window []float64) (lbgi, hbgi float64) {
+	for _, bg := range window {
+		s := Signed(bg)
+		if s < 0 {
+			lbgi += -s
+		} else {
+			hbgi += s
+		}
+	}
+	n := float64(len(window))
+	return lbgi / n, hbgi / n
+}
+
+// oracleLabel is the per-window labeller the single-pass Label replaced,
+// kept as its reference.
+func oracleLabel(l Labeler, tr *trace.Trace) {
+	l = l.fill()
+	n := tr.Len()
+	if n == 0 {
+		return
+	}
+	for i := range tr.Samples {
+		tr.Samples[i].Hazard = trace.HazardNone
+	}
+	bgs := tr.BGSeries()
+	w := min(l.Window, n)
+	prevL, prevH := math.Inf(1), math.Inf(1)
+	for end := w; end <= n; end++ {
+		lo := end - w
+		lbgi, hbgi := oracleIndices(bgs[lo:end])
+		var h trace.HazardType
+		switch {
+		case lbgi > l.LBGIThreshold && lbgi >= prevL:
+			h = trace.HazardH1
+		case hbgi > l.HBGIThreshold && hbgi >= prevH:
+			h = trace.HazardH2
+		}
+		if end == w {
+			switch {
+			case lbgi > l.LBGIThreshold:
+				h = trace.HazardH1
+			case hbgi > l.HBGIThreshold:
+				h = trace.HazardH2
+			}
+		}
+		if h != trace.HazardNone {
+			for i := lo; i < end; i++ {
+				if tr.Samples[i].Hazard == trace.HazardNone {
+					tr.Samples[i].Hazard = h
+				}
+			}
+		}
+		prevL, prevH = lbgi, hbgi
+	}
+}
+
+// TestLabelMatchesPerWindowOracle compares single-pass Label against the
+// per-window oracle on seeded random walks that reach BG <= 0 and BG >
+// 600, on traces shorter than, equal to and longer than the window, and
+// with default and non-default windows and thresholds. Some thresholds
+// are set to an index the oracle computed for one of the trace's own
+// windows, so a one-ulp difference in a window sum flips a label.
+func TestLabelMatchesPerWindowOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	labelers := []Labeler{{}, {Window: 6}, {Window: 24, LBGIThreshold: 2, HBGIThreshold: 4}, {Window: 1}}
+	var hazardous int
+	for iter := 0; iter < 400; iter++ {
+		l := labelers[iter%len(labelers)]
+		w := l.fill().Window
+		var n int
+		switch iter % 5 {
+		case 0:
+			n = 1 + rng.Intn(w)
+		case 1:
+			n = w
+		default:
+			n = w + rng.Intn(300)
+		}
+		bgs := make([]float64, n)
+		bg := 20 + 500*rng.Float64()
+		for i := range bgs {
+			bg += 40 * rng.NormFloat64()
+			if rng.Intn(40) == 0 {
+				bg = []float64{0, -15, 601, 900}[rng.Intn(4)]
+			}
+			bgs[i] = bg
+		}
+		if iter%3 == 2 {
+			lo := rng.Intn(n - min(w, n) + 1)
+			lbgi, hbgi := oracleIndices(bgs[lo : lo+min(w, n)])
+			if lbgi > 0 {
+				l.LBGIThreshold = lbgi
+			}
+			if hbgi > 0 {
+				l.HBGIThreshold = hbgi
+			}
+		}
+		got, want := mkTrace(bgs), mkTrace(bgs)
+		l.Label(got)
+		oracleLabel(l, want)
+		for i := range got.Samples {
+			if got.Samples[i].Hazard != want.Samples[i].Hazard {
+				t.Fatalf("iter %d (labeler %+v, n=%d): sample %d labelled %v, oracle %v",
+					iter, l, n, i, got.Samples[i].Hazard, want.Samples[i].Hazard)
+			}
+		}
+		if want.Hazardous() {
+			hazardous++
+		}
+	}
+	if hazardous == 0 || hazardous == 400 {
+		t.Errorf("%d of 400 traces hazardous: the comparison does not exercise both outcomes", hazardous)
+	}
+}
+
+// Indices keeps its per-window definition bit for bit.
+func TestIndicesMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for iter := 0; iter < 200; iter++ {
+		bgs := make([]float64, 1+rng.Intn(30))
+		for i := range bgs {
+			bgs[i] = -20 + 700*rng.Float64()
+		}
+		gotL, gotH := Indices(bgs)
+		wantL, wantH := oracleIndices(bgs)
+		if math.Float64bits(gotL) != math.Float64bits(wantL) || math.Float64bits(gotH) != math.Float64bits(wantH) {
+			t.Fatalf("Indices(%v) = %v, %v; oracle %v, %v", bgs, gotL, gotH, wantL, wantH)
+		}
 	}
 }
