@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario short vet fmt lint ci
+.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario fuzz-stl short vet fmt lint ci
 
 ## build: compile every package and command
 build:
@@ -29,8 +29,10 @@ bench:
 
 ## bench-smoke: the fast hot-path benchmarks CI tracks per commit — the
 ## streaming STL push, the streaming-vs-legacy CAWT step (the redesign's
-## "streaming no slower than legacy" guard), the per-session-vs-batched
-## rule-evaluation kernel, the controller's IOB tracker cycle (tabulated
+## "streaming no slower than legacy" guard), the rule-evaluation kernel
+## as 128 one-lane stream sets versus one 128-lane set (the same engine
+## either way; the gap is the per-push lane bookkeeping that batching
+## amortizes), the controller's IOB tracker cycle (tabulated
 ## insulin curve, prefix pruning), the per-session-vs-batched patient stepping
 ## kernel (the SoA speedup guard; fewer iterations — each op steps a
 ## 128-lane bank), and the sink delivery shapes (collector vs run-end
@@ -77,6 +79,13 @@ fuzz-snapshot:
 fuzz-scenario:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime $(FUZZTIME) ./internal/fault
+
+## fuzz-stl: short fuzz pass over the STL front door — text the parser
+## accepts must print and reparse to the same formula, rejected text
+## must error without panicking, and accepted past-only formulas must
+## stream exactly the offline semantics at every sample.
+fuzz-stl:
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamMatchesOffline$$' -fuzztime $(FUZZTIME) ./internal/stl
 
 ## smoke-falsify: end-to-end falsifier smoke — search the built-in
 ## meal+occlusion space with a small fixed-seed budget and write the

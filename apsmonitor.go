@@ -369,12 +369,14 @@ type (
 	STLFormula = stl.Formula
 	// STLTrace is a sampled multi-variable signal.
 	STLTrace = stl.Trace
-	// STLStream is the incremental streaming evaluator for past-only
-	// formulas: O(1) amortized per pushed sample, O(window) state.
+	// STLStream is the incremental streaming evaluator for one past-only
+	// formula — a one-formula STLStreamGroup: O(1) amortized per pushed
+	// sample, O(window) state.
 	STLStream = stl.Stream
 	// STLStreamGroup evaluates many past-only formulas over one shared
 	// sample stream with a hash-consed node DAG: identical subformulas
-	// share one stateful node, evaluated once per push.
+	// share one stateful node, evaluated once per push. It is one lane
+	// of an STLBatchStreamGroup, the single streaming engine.
 	STLStreamGroup = stl.StreamGroup
 	// STLMonitor evaluates a past-only formula online, one sample per
 	// control cycle, on the streaming engine.
@@ -385,8 +387,8 @@ type (
 	// SCSStreamVerdict is the per-cycle aggregate of an SCSStreamSet.
 	SCSStreamVerdict = scs.StreamVerdict
 	// STLBatchStreamGroup evaluates many past-only formulas across a
-	// whole shard of independent sessions in one struct-of-arrays push,
-	// bit-identical per lane to STLStreamGroup.
+	// whole shard of independent sessions in one struct-of-arrays push;
+	// each lane is exactly the offline semantics of its own samples.
 	STLBatchStreamGroup = stl.BatchStreamGroup
 	// SCSBatchStreamSet evaluates a Safety Context Specification across
 	// many session lanes in one batched push, bit-identical per lane to

@@ -36,8 +36,11 @@
 // patient bank (TestFleetBatchedSteppingMatchesPerSession), per-session
 // monitors (TestFleetBatchedMonitorMatchesPerSession), and an offline
 // per-session scs.StreamSet replay of every trace
-// (TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely
-// a throughput decision.
+// (TestFleetBatchedTelemetryMatchesPerSession; a StreamSet is one lane
+// of the same rule-stream engine, so this pins the shard's lane
+// orchestration, while internal/stl and internal/scs pin the engine to
+// the offline STL semantics) — so batching is purely a throughput
+// decision.
 //
 // One evaluation per cycle: with TelemetryConfig.FromMonitor, telemetry
 // reads the monitor's own streaming verdict (per-session or per-lane),

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/scs"
+	"repro/internal/stl"
 )
 
 // DefaultCycleMin is the control-cycle length the rule streams compile
@@ -94,14 +95,15 @@ func (m *ContextAware) Reset() {
 // is the class of the violated rules (H1 wins ties, being the acute
 // hazard).
 func (m *ContextAware) Step(obs Observation) Verdict {
-	if obs.CycleMin > 0 && obs.CycleMin != m.dt && m.streams.Len() == 0 {
+	if obs.CycleMin != m.dt && m.streams.Len() == 0 && stl.ValidatePeriod(obs.CycleMin) == nil {
 		// Recompile at the observed sampling period before any state
 		// accumulates. Table I bodies are sampling-period-free; this only
 		// matters for rule sets with temporal windows.
 		streams, err := scs.NewStreamSet(m.rules, m.thresholds, m.params, obs.CycleMin)
 		if err != nil {
-			// The rule set compiled at DefaultCycleMin; a positive cycle
-			// length cannot change compilability.
+			// The rule set compiled at DefaultCycleMin; only a window
+			// spanning more samples than the engine buffers can fail at
+			// another valid period, which is a rule-set bug.
 			panic(fmt.Sprintf("monitor: %s recompile at dt=%v: %v", m.name, obs.CycleMin, err))
 		}
 		m.streams, m.dt = streams, obs.CycleMin

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/scs"
+	"repro/internal/stl"
 )
 
 // BatchContextAware is the context-aware monitor evaluated across a
@@ -117,7 +118,7 @@ func (m *BatchContextAware) StepBatch(lanes []int, obs []Observation, out []Verd
 	if n == 0 {
 		return
 	}
-	if len(obs) > 0 && obs[0].CycleMin > 0 && obs[0].CycleMin != m.dt && m.streams.Len() == 0 {
+	if len(obs) > 0 && obs[0].CycleMin != m.dt && m.streams.Len() == 0 && stl.ValidatePeriod(obs[0].CycleMin) == nil {
 		// Recompile at the observed sampling period before any state
 		// accumulates, mirroring ContextAware.Step. Table I bodies are
 		// sampling-period-free; this only matters for rule sets with

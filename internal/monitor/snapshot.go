@@ -1,10 +1,14 @@
 // Snapshot/restore of monitor state. Each monitor serializes exactly
 // the state that shapes its future verdicts; derived caches (last
 // verdicts, fired-rule scratch) are recomputed on the next step and are
-// not part of the encoding. The scalar and batched variants of each
-// monitor emit identical bytes for the same logical state, so a session
-// can be snapshotted from a batched lane and restored into a scalar
-// monitor or vice versa.
+// not part of the encoding. The per-session and batched variants of
+// each monitor emit identical bytes for the same logical state, so a
+// session can be snapshotted from a batched lane and restored into a
+// per-session monitor or vice versa; for the context-aware monitors
+// this holds by construction, since a per-session rule stream is one
+// lane of the batched engine. A restored sampling period must pass
+// stl.ValidatePeriod, so a forged NaN, infinite, or non-positive period
+// fails the restore instead of compiling rule streams at it.
 
 package monitor
 
@@ -13,6 +17,7 @@ import (
 
 	"repro/internal/scs"
 	"repro/internal/snapshot"
+	"repro/internal/stl"
 )
 
 var (
@@ -42,8 +47,8 @@ func (m *ContextAware) RestoreState(dec *snapshot.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if dt <= 0 {
-		return fmt.Errorf("monitor: invalid restored sampling period %v", dt)
+	if err := stl.ValidatePeriod(dt); err != nil {
+		return fmt.Errorf("monitor: restored snapshot: %w", err)
 	}
 	if dt != m.dt {
 		streams, err := scs.NewStreamSet(m.rules, m.thresholds, m.params, dt)
@@ -78,8 +83,8 @@ func (m *BatchContextAware) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if dt <= 0 {
-		return fmt.Errorf("monitor: invalid restored sampling period %v", dt)
+	if err := stl.ValidatePeriod(dt); err != nil {
+		return fmt.Errorf("monitor: restored snapshot: %w", err)
 	}
 	if dt != m.dt {
 		if m.streams != nil && m.streams.Len() > 0 {

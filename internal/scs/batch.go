@@ -6,45 +6,33 @@ import (
 	"repro/internal/stl"
 )
 
-// BatchStreamSet evaluates a Safety Context Specification across a
-// whole shard of sessions in one push: the rules' antecedents compile
+// BatchStreamSet evaluates a Safety Context Specification across any
+// number of session lanes in one push: the rules' antecedents compile
 // into a single hash-consed stl.BatchStreamGroup whose per-node state
 // is a [lanes]-wide vector, and the structurally fixed consequent folds
-// inline per lane exactly as StreamSet does per session. One PushLanes
-// per control cycle yields every live session's StreamVerdict —
-// bit-identical to pushing each session through its own StreamSet (the
-// batched differential tests enforce exact equality of margins, arg-min
-// rules, hazards, and fired sets) — while dispatch, memo checks, and
-// rule loops amortize across the shard. Lanes reset independently, so a
+// inline per lane. One PushLanes per control cycle yields every live
+// session's StreamVerdict while dispatch, push guards, and rule loops
+// amortize across the active lanes. Lanes reset independently, so a
 // fleet shard recycles a completed session's lane without disturbing
-// its neighbors.
+// its neighbors. A per-session StreamSet is its one-lane view.
 type BatchStreamSet struct {
 	rules []Rule
-	group *stl.BatchStreamGroup
-	ante  []int
+	group *stl.BatchStreamGroup // rule i's antecedent is group formula i
 	width int
 
-	// fold is the shared Eq. 1 verdict fold (see fold.go); ls/lr are its
-	// reused per-rule antecedent scratch, gathered per lane.
-	fold ruleFold
-	ls   []bool
-	lr   []float64
+	fold ruleFold // the Eq. 1 verdict fold (see fold.go)
 
 	// vals is the reused struct-of-arrays push matrix; sel maps each
-	// group variable row to its State field. sats/robs cache each rule's
-	// result vectors for the verdict fold.
+	// group variable row to its State field.
 	vals  []float64
 	sel   []int
-	sats  [][]bool
-	robs  [][]float64
 	fired [][]int // per active index k: rule IDs violated at the last push
 	n     int
 }
 
 // NewBatchStreamSet compiles every rule body for batched evaluation
 // across `width` session lanes at sampling period dtMin minutes (nil
-// thresholds select the rules' CAWOT defaults). Rule validation matches
-// NewStreamSet exactly.
+// thresholds select the rules' CAWOT defaults).
 func NewBatchStreamSet(rules []Rule, th Thresholds, p Params, dtMin float64, width int) (*BatchStreamSet, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("scs: stream set needs at least one rule")
@@ -61,16 +49,12 @@ func NewBatchStreamSet(rules []Rule, th Thresholds, p Params, dtMin float64, wid
 		rules: rules,
 		group: group,
 		width: width,
-		fold:  newRuleFold(rules),
-		ls:    make([]bool, len(rules)),
-		lr:    make([]float64, len(rules)),
-		sats:  make([][]bool, len(rules)),
-		robs:  make([][]float64, len(rules)),
 		fired: make([][]int, width),
 	}
-	if bs.ante, err = compileAntecedents(rules, th, p, group.Add); err != nil {
+	if err := compileAntecedents(rules, th, p, group); err != nil {
 		return nil, err
 	}
+	bs.fold = newRuleFold(rules, group)
 	if bs.sel, err = fieldSelectors(group.Vars()); err != nil {
 		return nil, err
 	}
@@ -93,10 +77,9 @@ func (bs *BatchStreamSet) Len() int { return bs.n }
 // PushLanes feeds one control cycle's context state for each of the
 // given lanes and writes the per-lane verdicts into out (len(out) must
 // be at least len(lanes)). states[k] is the cycle state of session lane
-// lanes[k]; lanes absent from the call do not advance. The verdict
-// aggregation per lane is the exact fold of StreamSet.Push, so batched
-// margins, rules, and hazards are bit-identical to per-session
-// evaluation.
+// lanes[k]; lanes absent from the call do not advance.
+//
+//fleetvet:noalloc
 func (bs *BatchStreamSet) PushLanes(lanes []int, states []State, out []StreamVerdict) error {
 	n := len(lanes)
 	if n > bs.width {
@@ -110,43 +93,18 @@ func (bs *BatchStreamSet) PushLanes(lanes []int, states []State, out []StreamVer
 	if len(out) < n {
 		return fmt.Errorf("scs: verdict buffer holds %d, need %d", len(out), n)
 	}
-	for vi, sel := range bs.sel {
-		row := bs.vals[vi*n : (vi+1)*n]
-		switch sel {
-		case selBG:
-			for k := range states {
-				row[k] = states[k].BG
-			}
-		case selBGPrime:
-			for k := range states {
-				row[k] = states[k].BGPrime
-			}
-		case selIOB:
-			for k := range states {
-				row[k] = states[k].IOB
-			}
-		case selIOBPrime:
-			for k := range states {
-				row[k] = states[k].IOBPrime
-			}
-		case selAction:
-			for k := range states {
-				row[k] = float64(states[k].Action)
-			}
+	vals := bs.vals[:len(bs.sel)*n]
+	for k := range states {
+		s := &states[k]
+		for vi, sel := range bs.sel {
+			vals[vi*n+k] = s.field(sel)
 		}
 	}
-	if err := bs.group.PushLanes(lanes, bs.vals[:len(bs.sel)*n]); err != nil {
+	if err := bs.group.PushLanes(lanes, vals); err != nil {
 		return fmt.Errorf("scs: %w", err)
 	}
-	for i := range bs.rules {
-		bs.sats[i] = bs.group.Sats(bs.ante[i])
-		bs.robs[i] = bs.group.Robs(bs.ante[i])
-	}
-	for k := 0; k < n; k++ {
-		for i := range bs.rules {
-			bs.ls[i], bs.lr[i] = bs.sats[i][k], bs.robs[i][k]
-		}
-		out[k], bs.fired[k] = bs.fold.fold(float64(states[k].Action), bs.ls, bs.lr, bs.fired[k][:0])
+	for k := range states {
+		bs.fired[k] = bs.fold.fold(&out[k], float64(states[k].Action), k, bs.fired[k][:0])
 	}
 	bs.n++
 	return nil

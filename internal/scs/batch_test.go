@@ -1,9 +1,11 @@
 package scs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/stl"
 	"repro/internal/trace"
 )
 
@@ -39,12 +41,84 @@ func randThresholds(rng *rand.Rand, rules []Rule) Thresholds {
 	return th
 }
 
+// offlineVerdict evaluates a rule set at the newest sample of tr with
+// the offline STL semantics, independently of the streaming engine:
+// Sat is the conjunction of the rule bodies' Sat, MinRobust/WorstRule
+// the first minimum of the bodies' Robustness, and on a violation the
+// fired rules, the minimum violation depth (minus the violated rule's
+// antecedent robustness) with its rule, and the hazard class (H1 wins).
+func offlineVerdict(t *testing.T, rules []Rule, th Thresholds, tr *stl.Trace) (StreamVerdict, []int) {
+	t.Helper()
+	i := tr.Len() - 1
+	v := StreamVerdict{Sat: true, MinRobust: math.Inf(1)}
+	worst := math.Inf(1)
+	var fired []int
+	anyH1 := false
+	for _, r := range rules {
+		body := r.STL(Params{}, th[r.ID])
+		sat, err := body.Sat(tr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rob, err := body.Robustness(tr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rob < v.MinRobust {
+			v.MinRobust, v.WorstRule = rob, r.ID
+		}
+		if sat {
+			continue
+		}
+		v.Sat = false
+		fired = append(fired, r.ID)
+		anyH1 = anyH1 || r.Hazard == trace.HazardH1
+		ante, err := r.Antecedent(Params{}, th[r.ID]).Robustness(tr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if -ante < worst {
+			worst, v.Rule = -ante, r.ID
+		}
+	}
+	if v.Sat {
+		v.Margin, v.Rule = v.MinRobust, v.WorstRule
+	} else {
+		v.Margin, v.Hazard = worst, trace.HazardH2
+		if anyH1 {
+			v.Hazard = trace.HazardH1
+		}
+	}
+	return v, fired
+}
+
+// sameVerdict is == on verdicts with NaN matching NaN.
+func sameVerdict(a, b StreamVerdict) bool {
+	same := func(x, y float64) bool { return x == y || (x != x && y != y) }
+	return a.Sat == b.Sat && same(a.MinRobust, b.MinRobust) && a.WorstRule == b.WorstRule &&
+		same(a.Margin, b.Margin) && a.Rule == b.Rule && a.Hazard == b.Hazard
+}
+
+func sameIDs(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestBatchStreamSetMatchesPerSession is the batched-telemetry
 // correctness contract: one BatchStreamSet pushed across many lanes —
 // randomized active subsets, staggered lane resets, randomized
 // thresholds — must produce StreamVerdicts (margin, arg-min rule,
-// hazard, satisfaction) and fired-rule sets exactly equal to one
-// per-session StreamSet per lane.
+// hazard, satisfaction) and fired-rule sets exactly equal to the
+// offline STL semantics of the rule bodies over each lane's own samples
+// since its last reset (the independent reference), and to one
+// per-session StreamSet per lane (lane independence).
 func TestBatchStreamSetMatchesPerSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	rules := TableI()
@@ -58,9 +132,16 @@ func TestBatchStreamSetMatchesPerSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if th == nil {
+			th = Defaults(rules)
+		}
 		refs := make([]*StreamSet, width)
+		traces := make([]*stl.Trace, width)
 		for lane := range refs {
 			if refs[lane], err = NewStreamSet(rules, th, Params{}, 5); err != nil {
+				t.Fatal(err)
+			}
+			if traces[lane], err = stl.NewTrace(5); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -74,6 +155,9 @@ func TestBatchStreamSetMatchesPerSession(t *testing.T) {
 				lane := rng.Intn(width)
 				batch.ResetLane(lane)
 				refs[lane].Reset()
+				if traces[lane], err = stl.NewTrace(5); err != nil {
+					t.Fatal(err)
+				}
 			}
 			lanes, states = lanes[:0], states[:0]
 			for lane := 0; lane < width; lane++ {
@@ -90,24 +174,27 @@ func TestBatchStreamSetMatchesPerSession(t *testing.T) {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			for k, lane := range lanes {
-				want, err := refs[lane].Push(states[k])
+				s := states[k]
+				traces[lane].Append(map[string]float64{
+					"BG": s.BG, "BG'": s.BGPrime, "IOB": s.IOB, "IOB'": s.IOBPrime,
+					"u": float64(s.Action),
+				})
+				want, wantFired := offlineVerdict(t, rules, th, traces[lane])
+				if !sameVerdict(out[k], want) {
+					t.Fatalf("trial %d step %d lane %d: batched %+v, offline %+v",
+						trial, step, lane, out[k], want)
+				}
+				if !sameIDs(batch.Fired(k), wantFired) {
+					t.Fatalf("trial %d step %d lane %d: fired %v, offline %v",
+						trial, step, lane, batch.Fired(k), wantFired)
+				}
+				ref, err := refs[lane].Push(s)
 				if err != nil {
 					t.Fatalf("trial %d step %d lane %d: %v", trial, step, lane, err)
 				}
-				if out[k] != want {
-					t.Fatalf("trial %d step %d lane %d: batched %+v, per-session %+v",
-						trial, step, lane, out[k], want)
-				}
-				gotFired, wantFired := batch.Fired(k), refs[lane].Fired()
-				if len(gotFired) != len(wantFired) {
-					t.Fatalf("trial %d step %d lane %d: fired %v vs %v",
-						trial, step, lane, gotFired, wantFired)
-				}
-				for i := range gotFired {
-					if gotFired[i] != wantFired[i] {
-						t.Fatalf("trial %d step %d lane %d: fired %v vs %v",
-							trial, step, lane, gotFired, wantFired)
-					}
+				if !sameVerdict(out[k], ref) || !sameIDs(batch.Fired(k), refs[lane].Fired()) {
+					t.Fatalf("trial %d step %d lane %d: batched %+v %v, one-lane set %+v %v",
+						trial, step, lane, out[k], batch.Fired(k), ref, refs[lane].Fired())
 				}
 				if !want.Sat {
 					violations++

@@ -14,30 +14,28 @@
 //
 // # Streaming evaluation and its invariants
 //
-// Two incremental evaluators render rule sets through internal/stl's
-// streaming engines, and they must agree exactly:
+// BatchStreamSet renders a rule set through internal/stl's streaming
+// engine across any number of session lanes in one struct-of-arrays
+// push; StreamSet, one session's rules, is its one-lane view. The
+// rules' antecedents compile into one hash-consed stl.BatchStreamGroup,
+// so shared context atoms and windows evaluate once per cycle no matter
+// how many rules contain them, and the structurally fixed consequent
+// (the u == action equality) folds inline per lane, so a single push
+// yields satisfaction, the minimum STL body robustness, the signed rule
+// margin with arg-min attribution, and the predicted hazard class — the
+// StreamVerdict that the streaming CAWT monitor, Algorithm 1 margin
+// scaling, and fleet telemetry all read from (the one-evaluation
+// invariant: nothing evaluates the rules twice for the same cycle).
+// State is O(window), never session length.
 //
-//   - StreamSet: one session's rules as a hash-consed stl.StreamGroup.
-//     Shared context atoms and windows evaluate once per cycle no
-//     matter how many rules contain them, and the structurally fixed
-//     consequent (the u == action equality) folds inline, so a single
-//     Push yields satisfaction, the minimum STL body robustness, the
-//     signed rule margin with arg-min attribution, and the predicted
-//     hazard class — the StreamVerdict that the streaming CAWT monitor,
-//     Algorithm 1 margin scaling, and fleet telemetry all read from
-//     (the one-evaluation invariant: nothing evaluates the rules twice
-//     for the same cycle). State is O(window), never session length.
-//   - BatchStreamSet: the same rule set across a whole fleet shard of
-//     session lanes in one struct-of-arrays push. The batching
-//     invariant: per-lane verdicts and fired-rule sets are bit-identical
-//     to a per-session StreamSet — margins, arg-min rules, and hazards
-//     included — enforced by TestBatchStreamSetMatchesPerSession over
-//     randomized boundary-hugging states, staggered lane resets, and
-//     randomized thresholds, and at fleet scale by
-//     TestFleetBatchedTelemetryMatchesPerSession, which replays every
-//     fleet trace through its own StreamSet. The verdict fold per lane is the exact
-//     same arithmetic in the exact same order; only the loop over
-//     sessions moved inside the node DAG.
+// The reference is the offline STL semantics of the rule bodies:
+// TestBatchStreamSetMatchesPerSession checks every lane's verdict and
+// fired-rule set against Sat/Robustness over that lane's samples since
+// its last reset, under randomized boundary-hugging states, staggered
+// lane resets, and randomized thresholds, and checks lane independence
+// against one StreamSet per lane; at fleet scale
+// TestFleetBatchedTelemetryMatchesPerSession replays every fleet trace
+// through its own StreamSet.
 //
 //fleetvet:deterministic
 package scs

@@ -1,10 +1,10 @@
-// Snapshot/restore of streaming rule-set state. A StreamSet and a
-// BatchStreamSet delegate entirely to their stl groups: the rule fold
-// and fired scratch are recomputed on every push, so the group's
-// operator state (plus its sample cursor) is the whole checkpoint. The
-// bytes are identical between the scalar and batched engines, which is
-// what lets a session snapshotted from a batched telemetry lane restore
-// into a per-session StreamSet and vice versa.
+// Snapshot/restore of streaming rule-set state. A BatchStreamSet
+// delegates entirely to its stl group: the rule fold and fired scratch
+// are recomputed on every push, so the group's operator state (plus its
+// sample cursor) is the whole checkpoint. A StreamSet is lane 0 of a
+// one-lane BatchStreamSet, so its bytes are a lane snapshot by
+// construction, which is what lets a session snapshotted from a batched
+// telemetry lane restore into a per-session StreamSet and vice versa.
 
 package scs
 
@@ -15,32 +15,31 @@ var (
 	_ snapshot.LaneSnapshotter = (*BatchStreamSet)(nil)
 )
 
-// SnapshotState implements snapshot.Snapshotter.
+// SnapshotState implements snapshot.Snapshotter: the set's one lane.
 func (ss *StreamSet) SnapshotState(enc *snapshot.Encoder) {
-	ss.group.SnapshotState(enc)
+	ss.batch.SnapshotLane(0, enc)
 }
 
 // RestoreState implements snapshot.Snapshotter. The set must have been
 // built from the same rules and thresholds as the one that produced the
 // bytes.
 func (ss *StreamSet) RestoreState(dec *snapshot.Decoder) error {
-	if err := ss.group.RestoreState(dec); err != nil {
+	if err := ss.batch.RestoreLane(0, dec); err != nil {
 		return err
 	}
-	ss.n = ss.group.Len()
-	ss.fired = ss.fired[:0]
+	ss.batch.fired[0] = ss.batch.fired[0][:0]
 	return nil
 }
 
 // SnapshotLane implements snapshot.LaneSnapshotter: one lane's rule
-// streams, byte-identical to the scalar SnapshotState of an identically
-// built StreamSet at the same point.
+// streams.
 func (bs *BatchStreamSet) SnapshotLane(lane int, enc *snapshot.Encoder) {
 	bs.group.SnapshotLane(lane, enc)
 }
 
 // RestoreLane implements snapshot.LaneSnapshotter, accepting bytes from
-// SnapshotLane or from a scalar StreamSet's SnapshotState.
+// SnapshotLane of any identically built set, a StreamSet's
+// SnapshotState included.
 func (bs *BatchStreamSet) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	if err := bs.group.RestoreLane(lane, dec); err != nil {
 		return err

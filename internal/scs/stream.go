@@ -1,11 +1,6 @@
 package scs
 
-import (
-	"fmt"
-
-	"repro/internal/stl"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // StreamVerdict is the per-cycle result of evaluating a rule set
 // incrementally: satisfaction, the raw STL minimum across rule bodies,
@@ -35,46 +30,24 @@ type StreamVerdict struct {
 	Hazard trace.HazardType
 }
 
-// StreamSet renders a Safety Context Specification's rule bodies (the
-// formulas under G[t0,te] in Eq. 1) through the incremental streaming
-// STL engine. The rules' antecedents compile into one hash-consed
-// stl.StreamGroup — identical subformulas (shared context atoms, shared
-// windows) evaluate once per cycle no matter how many rules contain
-// them — and the structurally fixed consequent (the u == action
-// equality, per Rule.Consequent) folds into the same push as inline
-// arithmetic, so one evaluation yields satisfaction, the STL body
-// robustness, and the signed rule margin. Pushes are O(1) amortized per
-// rule and total state is bounded by the rules' window lengths, never
-// by session length, so a StreamSet can stay attached to a continuous
-// serving session forever.
+// StreamSet renders one session's Safety Context Specification rule
+// bodies (the formulas under G[t0,te] in Eq. 1) through the incremental
+// streaming STL engine: it is a one-lane BatchStreamSet. The rules'
+// antecedents compile into one hash-consed stl group — identical
+// subformulas (shared context atoms, shared windows) evaluate once per
+// cycle no matter how many rules contain them — and the structurally
+// fixed consequent (the u == action equality, per Rule.Consequent)
+// folds into the same push as inline arithmetic, so one evaluation
+// yields satisfaction, the STL body robustness, and the signed rule
+// margin. Pushes are O(1) amortized per rule and total state is bounded
+// by the rules' window lengths, never by session length, so a StreamSet
+// can stay attached to a continuous serving session forever.
 type StreamSet struct {
-	rules  []Rule
-	group  *stl.StreamGroup
-	ante   []int // group index of each rule's antecedent
-	params Params
-	n      int
-
-	// fold is the shared Eq. 1 verdict fold (see fold.go); ls/lr are its
-	// reused per-rule antecedent scratch.
-	fold ruleFold
-	ls   []bool
-	lr   []float64
-
-	// vals is the reused PushVector binding; sel maps each group
-	// variable slot to its State field so pushes touch no maps.
-	vals  []float64
-	sel   []int
-	fired []int // IDs of the rules violated at the last push
+	batch *BatchStreamSet
+	lane  [1]int // the one lane every push names
+	state [1]State
+	out   [1]StreamVerdict
 }
-
-// State field selectors for the rule vocabulary.
-const (
-	selBG = iota
-	selBGPrime
-	selIOB
-	selIOBPrime
-	selAction
-)
 
 // NewStreamSet compiles every rule body under its threshold at sampling
 // period dtMin minutes (nil thresholds select the rules' CAWOT
@@ -82,41 +55,18 @@ const (
 // compilation accepts any past-only rule rendering (e.g. Since-based
 // mitigation specifications).
 func NewStreamSet(rules []Rule, th Thresholds, p Params, dtMin float64) (*StreamSet, error) {
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("scs: stream set needs at least one rule")
-	}
-	if th == nil {
-		th = Defaults(rules)
-	}
-	p = p.WithDefaults()
-	group, err := stl.NewStreamGroup(dtMin)
+	batch, err := NewBatchStreamSet(rules, th, p, dtMin, 1)
 	if err != nil {
-		return nil, fmt.Errorf("scs: %w", err)
-	}
-	ss := &StreamSet{
-		rules:  rules,
-		group:  group,
-		params: p,
-		fold:   newRuleFold(rules),
-		ls:     make([]bool, len(rules)),
-		lr:     make([]float64, len(rules)),
-		fired:  make([]int, 0, len(rules)),
-	}
-	if ss.ante, err = compileAntecedents(rules, th, p, group.Add); err != nil {
 		return nil, err
 	}
-	if ss.sel, err = fieldSelectors(group.Vars()); err != nil {
-		return nil, err
-	}
-	ss.vals = make([]float64, len(ss.sel))
-	return ss, nil
+	return &StreamSet{batch: batch}, nil
 }
 
 // Rules returns the compiled rule set.
-func (ss *StreamSet) Rules() []Rule { return ss.rules }
+func (ss *StreamSet) Rules() []Rule { return ss.batch.Rules() }
 
 // Len returns the number of samples pushed.
-func (ss *StreamSet) Len() int { return ss.n }
+func (ss *StreamSet) Len() int { return ss.batch.group.LaneLen(0) }
 
 // Push feeds one control cycle's context state to every rule stream and
 // returns the aggregate verdict. Alarm, STL robustness, signed margin,
@@ -125,46 +75,22 @@ func (ss *StreamSet) Len() int { return ss.n }
 //
 //fleetvet:noalloc
 func (ss *StreamSet) Push(s State) (StreamVerdict, error) {
-	for i, sel := range ss.sel {
-		switch sel {
-		case selBG:
-			ss.vals[i] = s.BG
-		case selBGPrime:
-			ss.vals[i] = s.BGPrime
-		case selIOB:
-			ss.vals[i] = s.IOB
-		case selIOBPrime:
-			ss.vals[i] = s.IOBPrime
-		case selAction:
-			ss.vals[i] = float64(s.Action)
-		}
+	ss.state[0] = s
+	if err := ss.batch.PushLanes(ss.lane[:], ss.state[:], ss.out[:]); err != nil {
+		return StreamVerdict{}, err
 	}
-	if err := ss.group.PushVector(ss.vals); err != nil {
-		return StreamVerdict{}, fmt.Errorf("scs: %w", err)
-	}
-	sats, robs := ss.group.Results()
-	for i := range ss.rules {
-		ss.ls[i], ss.lr[i] = sats[ss.ante[i]], robs[ss.ante[i]]
-	}
-	var v StreamVerdict
-	v, ss.fired = ss.fold.fold(float64(s.Action), ss.ls, ss.lr, ss.fired[:0])
-	ss.n++
-	return v, nil
+	return ss.out[0], nil
 }
 
 // Fired returns the IDs of the rules violated at the last push, in rule
 // order. The slice is reused by the next Push; callers that retain it
 // must copy.
-func (ss *StreamSet) Fired() []int { return ss.fired }
+func (ss *StreamSet) Fired() []int { return ss.batch.Fired(0) }
 
 // StateSamples returns the total buffered per-sample entries across the
 // rule set's unique operator nodes (hash-consed subformulas count once)
 // — the quantity that must stay O(window) regardless of session length.
-func (ss *StreamSet) StateSamples() int { return ss.group.StateSamples() }
+func (ss *StreamSet) StateSamples() int { return ss.batch.StateSamples() }
 
 // Reset clears all rule stream state.
-func (ss *StreamSet) Reset() {
-	ss.group.Reset()
-	ss.n = 0
-	ss.fired = ss.fired[:0]
-}
+func (ss *StreamSet) Reset() { ss.batch.Reset() }

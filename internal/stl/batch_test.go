@@ -5,19 +5,59 @@ import (
 	"testing"
 )
 
+// thresholds collects every atom threshold of f, so samples can land
+// exactly on comparison boundaries where strict and non-strict atoms
+// differ.
+func thresholds(f Formula) []float64 {
+	switch n := f.(type) {
+	case *Atom:
+		return []float64{n.Threshold}
+	case *Not:
+		return thresholds(n.Child)
+	case *And:
+		var out []float64
+		for _, c := range n.Children {
+			out = append(out, thresholds(c)...)
+		}
+		return out
+	case *Or:
+		var out []float64
+		for _, c := range n.Children {
+			out = append(out, thresholds(c)...)
+		}
+		return out
+	case *Implies:
+		return append(thresholds(n.L), thresholds(n.R)...)
+	case *Once:
+		return thresholds(n.Child)
+	case *Historically:
+		return thresholds(n.Child)
+	case *Since:
+		return append(thresholds(n.L), thresholds(n.R)...)
+	}
+	return nil
+}
+
+// sameFloat is == with NaN matching NaN.
+func sameFloat(a, b float64) bool { return a == b || (a != a && b != b) }
+
 // TestBatchStreamGroupMatchesPerLane is the differential correctness
 // contract of the batched engine: randomized past-only formulas pushed
 // through one BatchStreamGroup across many lanes — with randomized
 // active-lane subsets per push and staggered lane resets — must produce
-// satisfaction and robustness exactly equal (==) to pushing each lane's
-// sample stream through its own per-session StreamGroup.
+// satisfaction and robustness exactly equal (==) to the offline
+// Sat/Robustness over each lane's own samples since its last reset (the
+// independent reference semantics), and to pushing each lane's sample
+// stream through its own one-lane StreamGroup (lane independence).
 func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 250; trial++ {
 		nf := 1 + rng.Intn(4)
 		formulas := make([]Formula, nf)
+		var ties []float64
 		for i := range formulas {
 			formulas[i] = randPastFormula(rng, 1+rng.Intn(3))
+			ties = append(ties, thresholds(formulas[i])...)
 		}
 		width := 1 + rng.Intn(8)
 
@@ -26,8 +66,12 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 			t.Fatal(err)
 		}
 		refs := make([]*StreamGroup, width)
+		traces := make([]*Trace, width)
 		for lane := range refs {
 			if refs[lane], err = NewStreamGroup(1); err != nil {
+				t.Fatal(err)
+			}
+			if traces[lane], err = NewTrace(1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -45,8 +89,8 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 				}
 			}
 		}
-		// The batched and per-session compilers intern identically, so
-		// the variable tables must agree position for position.
+		// Groups built from the same formulas intern identically, so the
+		// variable tables must agree position for position.
 		vars := batch.Vars()
 		refVars := refs[0].Vars()
 		if len(vars) != len(refVars) {
@@ -69,6 +113,9 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 				lane := rng.Intn(width)
 				batch.ResetLane(lane)
 				refs[lane].Reset()
+				if traces[lane], err = NewTrace(1); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// A random non-empty subset of lanes advances this push.
 			lanes = lanes[:0]
@@ -85,26 +132,44 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 			for k := range lanes {
 				for v := range vars {
 					vals[v*n+k] = -10 + 20*rng.Float64()
+					if len(ties) > 0 && rng.Intn(4) == 0 {
+						vals[v*n+k] = ties[rng.Intn(len(ties))]
+					}
 				}
 			}
 			if err := batch.PushLanes(lanes, vals); err != nil {
 				t.Fatalf("trial %d step %d: batch push: %v", trial, s, err)
 			}
 			for k, lane := range lanes {
-				for v := range vars {
+				sample := make(map[string]float64, len(vars))
+				for v, name := range vars {
 					refVals[v] = vals[v*n+k]
+					sample[name] = vals[v*n+k]
 				}
 				if err := refs[lane].PushVector(refVals); err != nil {
 					t.Fatalf("trial %d step %d: ref push lane %d: %v", trial, s, lane, err)
 				}
+				traces[lane].Append(sample)
 			}
-			for i := range formulas {
+			for i, f := range formulas {
 				sats, robs := batch.Sats(i), batch.Robs(i)
 				for k, lane := range lanes {
-					wantSat, wantRob := refs[lane].Sat(i), refs[lane].Rob(i)
-					if sats[k] != wantSat || robs[k] != wantRob {
-						t.Fatalf("trial %d step %d formula %d (%s) lane %d: batched (%v, %v), per-lane (%v, %v)",
-							trial, s, i, formulas[i], lane, sats[k], robs[k], wantSat, wantRob)
+					tr := traces[lane]
+					wantSat, err := f.Sat(tr, tr.Len()-1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRob, err := f.Robustness(tr, tr.Len()-1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sats[k] != wantSat || !sameFloat(robs[k], wantRob) {
+						t.Fatalf("trial %d step %d formula %d (%s) lane %d: batched (%v, %v), offline (%v, %v)",
+							trial, s, i, f, lane, sats[k], robs[k], wantSat, wantRob)
+					}
+					if refs[lane].Sat(i) != sats[k] || !sameFloat(refs[lane].Rob(i), robs[k]) {
+						t.Fatalf("trial %d step %d formula %d (%s) lane %d: batched (%v, %v), one-lane group (%v, %v)",
+							trial, s, i, f, lane, sats[k], robs[k], refs[lane].Sat(i), refs[lane].Rob(i))
 					}
 				}
 			}

@@ -1,19 +1,20 @@
-// Snapshot/restore of streaming operator state. A StreamGroup and a
-// BatchStreamGroup compiled from the same formulas in the same Add
-// order build isomorphic hash-consed DAGs (same canonical cache keys,
-// same memo policy, same compile recursion), so walking the compiler's
-// memo list in creation order visits corresponding stateful nodes in
-// both engines. Only the stateful cores (delay lines, extremum deques,
+// Snapshot/restore of streaming operator state. Every stream runs on
+// the one batched engine — a StreamGroup is lane 0 of a one-lane
+// BatchStreamGroup — so a lane snapshot is the only encoding, and a
+// StreamGroup's bytes equal a batched lane's bytes for the same logical
+// state by construction. Groups compiled from the same formulas in the
+// same Add order build the same hash-consed DAG (same canonical cache
+// keys, same compile recursion) at any width, so walking the
+// compiler's temporal-node list in creation order visits corresponding
+// nodes in both. Only the stateful cores (delay lines, extremum deques,
 // Since recursions) are serialized, in canonical logical order — ring
-// buffers oldest-first, deques front-to-back — which makes a scalar
-// group's bytes identical to a batched lane's bytes for the same
-// logical state, and makes re-encoding a restored group reproduce the
-// original bytes exactly.
+// buffers oldest-first, deques front-to-back — which makes re-encoding
+// a restored group reproduce the original bytes exactly.
 //
-// Per-push memo caches (seq/sat/rob) are deliberately not serialized:
-// a memo only short-circuits while its seq equals the current push's
-// sequence number, and every push after a restore uses a strictly
-// larger sequence, so stale caches can never be read.
+// Push guards (pushGuard.seq) are deliberately not serialized: a guard
+// only short-circuits while its seq equals the current push's sequence
+// number, and every push after a restore uses a strictly larger
+// sequence, so a stale guard can never suppress an advance.
 
 package stl
 
@@ -28,94 +29,66 @@ var (
 	_ snapshot.LaneSnapshotter = (*BatchStreamGroup)(nil)
 )
 
-// SnapshotState implements snapshot.Snapshotter: the push count plus
-// every unique stateful operator core in compile order.
+// SnapshotState implements snapshot.Snapshotter: the group's one lane,
+// byte-identical to BatchStreamGroup.SnapshotLane of that lane.
 func (g *StreamGroup) SnapshotState(enc *snapshot.Encoder) {
-	enc.Int(g.n)
-	for _, m := range g.comp.memos {
-		switch t := m.inner.(type) {
-		case *windowNode:
-			snapshotExtremum(enc, t.rob)
-			snapshotExtremum(enc, t.sat)
-		case *sinceNode:
-			snapshotSince(enc, t.rob)
-			snapshotSince(enc, t.sat)
-		}
-	}
+	g.batch.SnapshotLane(0, enc)
 }
 
 // RestoreState implements snapshot.Snapshotter. The group must have
 // been built from the same formulas in the same Add order as the one
 // that produced the bytes; a shape mismatch surfaces as a decode error.
+// Sat/Rob read false/0 again until the next push.
 func (g *StreamGroup) RestoreState(dec *snapshot.Decoder) error {
-	n := dec.Int()
-	if dec.Err() == nil && n < 0 {
-		return fmt.Errorf("stl: negative restored sample count %d", n)
-	}
-	for _, m := range g.comp.memos {
-		m.seq = 0
-		switch t := m.inner.(type) {
-		case *windowNode:
-			restoreExtremum(dec, t.rob)
-			restoreExtremum(dec, t.sat)
-		case *sinceNode:
-			restoreSince(dec, t.rob)
-			restoreSince(dec, t.sat)
-		}
-	}
-	if err := dec.Err(); err != nil {
+	if err := g.batch.RestoreLane(0, dec); err != nil {
 		return err
 	}
-	g.n = n
-	for i := range g.sats {
-		g.sats[i], g.robs[i] = false, 0
-	}
+	g.batch.lastN = 0
 	return nil
 }
 
 // SnapshotLane implements snapshot.LaneSnapshotter: the lane's sample
-// count plus its slice of every unique stateful operator, in the same
-// compile order — and therefore the same bytes — as the scalar
-// SnapshotState of an identically built StreamGroup.
+// count plus its cores of every unique stateful operator, in compile
+// order.
 func (g *BatchStreamGroup) SnapshotLane(lane int, enc *snapshot.Encoder) {
-	enc.Int(g.laneN[lane])
-	for _, m := range g.comp.memos {
-		switch t := m.inner.(type) {
+	enc.Int(g.lanes[lane].n)
+	for _, n := range g.comp.temporal {
+		switch t := n.(type) {
 		case *batchWindowNode:
-			snapshotExtremum(enc, t.robC[lane])
-			snapshotExtremum(enc, t.satC[lane])
+			snapshotExtremum(enc, &t.robC[lane])
+			snapshotExtremum(enc, &t.satC[lane])
 		case *batchSinceNode:
-			snapshotSince(enc, t.robC[lane])
-			snapshotSince(enc, t.satC[lane])
+			snapshotSince(enc, &t.robC[lane])
+			snapshotSince(enc, &t.satC[lane])
 		}
 	}
 }
 
 // RestoreLane implements snapshot.LaneSnapshotter, accepting bytes from
-// either SnapshotLane or a scalar group's SnapshotState. Other lanes
-// are untouched.
+// SnapshotLane of any identically built group — a StreamGroup's
+// SnapshotState included. Other lanes are untouched.
 func (g *BatchStreamGroup) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	n := dec.Int()
 	if dec.Err() == nil && n < 0 {
 		return fmt.Errorf("stl: negative restored sample count %d", n)
 	}
-	for _, m := range g.comp.memos {
-		switch t := m.inner.(type) {
+	for _, n := range g.comp.temporal {
+		switch t := n.(type) {
 		case *batchWindowNode:
-			restoreExtremum(dec, t.robC[lane])
-			restoreExtremum(dec, t.satC[lane])
+			restoreExtremum(dec, &t.robC[lane])
+			restoreExtremum(dec, &t.satC[lane])
 		case *batchSinceNode:
-			restoreSince(dec, t.robC[lane])
-			restoreSince(dec, t.satC[lane])
+			restoreSince(dec, &t.robC[lane])
+			restoreSince(dec, &t.satC[lane])
 		}
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	g.laneN[lane] = n
+	g.lanes[lane].n = n
 	// The group-global push sequence must stay ahead of the restored
 	// lane so the running-group guards (Add rejection, recompile checks)
-	// see a live stream; it never rewinds, so memo seq guards stay sound.
+	// see a live stream; it never rewinds, so push guards stay sound.
 	if uint64(n) > g.pushes {
 		g.pushes = uint64(n)
 	}
@@ -176,11 +149,11 @@ func restoreDeque(dec *snapshot.Decoder, q *monoDeque) {
 
 func snapshotExtremum(enc *snapshot.Encoder, c *extremumCore) {
 	enc.Int(c.i)
-	snapshotDelay(enc, c.delay)
+	snapshotDelay(enc, &c.delay)
 	if c.hi < 0 {
 		enc.Float64(c.agg)
 	} else {
-		snapshotDeque(enc, c.dq)
+		snapshotDeque(enc, &c.dq)
 	}
 }
 
@@ -192,24 +165,24 @@ func restoreExtremum(dec *snapshot.Decoder, c *extremumCore) {
 	}
 	c.reset()
 	c.i = i
-	restoreDelay(dec, c.delay)
+	restoreDelay(dec, &c.delay)
 	if c.hi < 0 {
 		c.agg = dec.Float64()
 	} else {
-		restoreDeque(dec, c.dq)
+		restoreDeque(dec, &c.dq)
 	}
 }
 
 func snapshotSince(enc *snapshot.Encoder, c *sinceCore) {
 	enc.Int(c.i)
-	snapshotDelay(enc, c.psiDelay)
-	if c.phiWin != nil {
-		snapshotDeque(enc, c.phiWin)
+	snapshotDelay(enc, &c.psiDelay)
+	if c.lo > 0 {
+		snapshotDeque(enc, &c.phiWin)
 	}
 	if c.hi < 0 {
 		enc.Float64(c.z)
 	} else {
-		snapshotDeque(enc, c.cand)
+		snapshotDeque(enc, &c.cand)
 	}
 }
 
@@ -221,13 +194,13 @@ func restoreSince(dec *snapshot.Decoder, c *sinceCore) {
 	}
 	c.reset()
 	c.i = i
-	restoreDelay(dec, c.psiDelay)
-	if c.phiWin != nil {
-		restoreDeque(dec, c.phiWin)
+	restoreDelay(dec, &c.psiDelay)
+	if c.lo > 0 {
+		restoreDeque(dec, &c.phiWin)
 	}
 	if c.hi < 0 {
 		c.z = dec.Float64()
 	} else {
-		restoreDeque(dec, c.cand)
+		restoreDeque(dec, &c.cand)
 	}
 }

@@ -16,8 +16,8 @@ type Trace struct {
 
 // NewTrace creates an empty trace with sampling period dtMin minutes.
 func NewTrace(dtMin float64) (*Trace, error) {
-	if dtMin <= 0 {
-		return nil, fmt.Errorf("stl: non-positive sampling period %v", dtMin)
+	if err := ValidatePeriod(dtMin); err != nil {
+		return nil, err
 	}
 	return &Trace{dt: dtMin, vars: make(map[string][]float64)}, nil
 }
@@ -336,7 +336,7 @@ type Bounds struct{ A, B float64 }
 var Unbounded = Bounds{A: 0, B: math.Inf(1)}
 
 func (b Bounds) valid() error {
-	if b.A < 0 || b.B < b.A {
+	if !(b.A >= 0) || !(b.B >= b.A) { // negated so NaN bounds fail too
 		return fmt.Errorf("stl: invalid bounds [%v,%v]", b.A, b.B)
 	}
 	return nil
@@ -347,12 +347,26 @@ func (b Bounds) window(dt float64, horizon int) (lo, hi int, err error) {
 	if err := b.valid(); err != nil {
 		return 0, 0, err
 	}
-	lo = int(math.Ceil(b.A/dt - 1e-9))
+	if lo, err = sampleOffset(math.Ceil(b.A/dt-1e-9), b, dt); err != nil {
+		return 0, 0, err
+	}
 	if math.IsInf(b.B, 1) {
 		return lo, horizon, nil
 	}
-	hi = int(math.Floor(b.B/dt + 1e-9))
+	if hi, err = sampleOffset(math.Floor(b.B/dt+1e-9), b, dt); err != nil {
+		return 0, 0, err
+	}
 	return lo, hi, nil
+}
+
+// sampleOffset converts a rounded bound-over-period quotient to an int,
+// failing when it does not fit (an infinite lower bound, or a period so
+// small the offset overflows) instead of letting the conversion wrap.
+func sampleOffset(q float64, b Bounds, dt float64) (int, error) {
+	if !(q < float64(math.MaxInt)) {
+		return 0, fmt.Errorf("stl: bounds %v at dt=%v give a sample offset %v that does not fit an int", b, dt, q)
+	}
+	return int(q), nil
 }
 
 // String renders the bounds.

@@ -5,433 +5,63 @@ import (
 	"math"
 )
 
-// Stream is the incremental streaming evaluator for past-only formulas:
-// each temporal operator compiles to a stateful node — ring buffers for
-// the bounded-history delay lines, monotonic (Lemire) deques for the
-// Once/Historically window extrema, and a clamp-merge candidate deque
-// for bounded Since — so every Push costs O(1) amortized and the total
-// retained state is O(sum of window lengths), independent of how long
-// the session runs. Verdicts and robustness are exactly equal, sample
-// for sample, to evaluating the formula's Sat/Robustness on the full
-// recorded trace (the differential property tests in prop_test.go
-// enforce this on randomized formulas).
-//
-// Every variable the formula references must be present in every pushed
-// sample; a missing variable is an error (the offline trace semantics
-// backfill NaN, which silently poisons windowed extrema — a streaming
-// hazard monitor should fail loudly instead).
-type Stream struct {
-	formula Formula
-	root    streamNode
-	comp    *compiler
-	vals    []float64
-	dt      float64
-	n       int
-
-	lastSat bool
-	lastRob float64
-
-	// ctx is reused across pushes so the hot path stays allocation-free
-	// (a per-push context would escape through the node interface).
-	ctx stepCtx
-}
-
-// NewStream compiles a past-only formula for streaming evaluation at
-// sampling period dtMin minutes.
-func NewStream(f Formula, dtMin float64) (*Stream, error) {
-	if f == nil {
-		return nil, fmt.Errorf("stl: nil formula")
-	}
-	if dtMin <= 0 {
-		return nil, fmt.Errorf("stl: non-positive sampling period %v", dtMin)
-	}
-	if !PastOnly(f) {
-		return nil, fmt.Errorf("stl: formula %q needs future knowledge; cannot monitor online", f)
-	}
-	comp := newCompiler(dtMin, false)
-	root, err := comp.compile(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{
-		formula: f, root: root, comp: comp,
-		vals: make([]float64, len(comp.vars)), dt: dtMin,
-	}, nil
-}
-
-// Formula returns the compiled formula.
-func (s *Stream) Formula() Formula { return s.formula }
-
-// Dt returns the sampling period in minutes.
-func (s *Stream) Dt() float64 { return s.dt }
-
-// Len returns the number of samples pushed.
-func (s *Stream) Len() int { return s.n }
-
-// Push consumes one sample and returns boolean satisfaction and the
-// robustness margin at that sample. A sample missing a referenced
-// variable is rejected before any operator state advances, so the
-// stream stays consistent and the caller may push a corrected sample.
-//
-//fleetvet:noalloc
-func (s *Stream) Push(sample map[string]float64) (bool, float64, error) {
-	for i, v := range s.comp.vars {
-		val, ok := sample[v]
-		if !ok {
-			return false, 0, fmt.Errorf("stl: unknown variable %q", v)
-		}
-		s.vals[i] = val
-	}
-	s.ctx.vals = s.vals
-	s.ctx.seq = uint64(s.n) + 1
-	sat, rob := s.root.step(&s.ctx)
-	s.ctx.vals = nil
-	s.n++
-	s.lastSat, s.lastRob = sat, rob
-	return sat, rob, nil
-}
-
-// Last returns the verdict and robustness at the newest sample.
-func (s *Stream) Last() (sat bool, rob float64, err error) {
-	if s.n == 0 {
-		return false, 0, fmt.Errorf("stl: no samples pushed")
-	}
-	return s.lastSat, s.lastRob, nil
-}
-
-// StateSamples returns the total number of buffered per-sample entries
-// across all operator nodes — the quantity that must stay O(window)
-// regardless of how many samples have been pushed (asserted by the
-// boundedness tests).
-func (s *Stream) StateSamples() int { return s.root.state() }
-
-// Reset clears all operator state, as if no samples had been pushed.
-func (s *Stream) Reset() {
-	s.root.reset()
-	s.n = 0
-	s.lastSat, s.lastRob = false, 0
-}
-
-// stepCtx carries the current sample through one recursive step: the
-// value vector (indexed by the compiler's variable table) and a push
-// sequence number that memoized shared nodes key their caches on.
-type stepCtx struct {
-	vals []float64
-	seq  uint64
-}
-
-// streamNode is one compiled operator. step consumes the newest sample
-// (via ctx) and returns satisfaction and robustness at that sample.
-type streamNode interface {
-	step(ctx *stepCtx) (bool, float64)
-	state() int
-	reset()
-}
-
-// compiler lowers past-only formulas to stateful node trees, resolving
-// variable names to dense value-vector indices. With interning enabled
-// (stream groups) it hash-conses the compiled tree: structurally
-// identical subformulas — same atoms, same windows — compile to one
-// shared node whose operator state and per-push work exist once per
-// group, guarded by a per-push memo so a shared stateful node advances
-// exactly once per sample no matter how many formulas contain it.
-type compiler struct {
-	dt     float64
-	vars   []string
-	varIdx map[string]int
-	cache  map[string]streamNode // canonical rendering -> shared node
-	memos  []*memoNode
-}
-
-func newCompiler(dt float64, intern bool) *compiler {
-	c := &compiler{dt: dt, varIdx: make(map[string]int)}
-	if intern {
-		c.cache = make(map[string]streamNode)
-	}
-	return c
-}
-
-// varIndex interns a variable name into the value vector.
-func (c *compiler) varIndex(name string) int {
-	if i, ok := c.varIdx[name]; ok {
-		return i
-	}
-	i := len(c.vars)
-	c.vars = append(c.vars, name)
-	c.varIdx[name] = i
-	return i
-}
-
-// compile lowers one formula, sharing previously compiled identical
-// subformulas when interning is on. The canonical key is the parser
-// syntax rendering, which is injective on the AST (thresholds print at
-// shortest-round-trip precision).
-func (c *compiler) compile(f Formula) (streamNode, error) {
-	if c.cache == nil {
-		return c.lower(f)
-	}
-	key := f.String()
-	if n, ok := c.cache[key]; ok {
-		return n, nil
-	}
-	inner, err := c.lower(f)
-	if err != nil {
-		return nil, err
-	}
-	out := inner
-	if hasState(f) {
-		// Only stateful subtrees need the per-push memo: sharing one
-		// delay line or window deque between formulas is what must not
-		// double-advance. Stateless subtrees are shared bare — a repeated
-		// comparison is cheaper than a memo check.
-		m := &memoNode{inner: inner}
-		c.memos = append(c.memos, m)
-		out = m
-	}
-	c.cache[key] = out
-	return out, nil
-}
-
-// hasState reports whether a formula's compiled form buffers samples
-// (contains a past-time temporal operator).
-func hasState(f Formula) bool {
-	switch n := f.(type) {
-	case *Once, *Historically, *Since:
-		return true
-	case *Not:
-		return hasState(n.Child)
-	case *And:
-		for _, c := range n.Children {
-			if hasState(c) {
-				return true
-			}
-		}
-		return false
-	case *Or:
-		for _, c := range n.Children {
-			if hasState(c) {
-				return true
-			}
-		}
-		return false
-	case *Implies:
-		return hasState(n.L) || hasState(n.R)
-	default:
-		return false
-	}
-}
-
-// lower compiles one operator, recursing through compile so every
-// subformula takes part in sharing. Minute bounds convert to inclusive
-// sample offsets exactly as Bounds.window does, so streaming and offline
-// evaluation agree on window edges (including empty fractional windows).
-func (c *compiler) lower(f Formula) (streamNode, error) {
-	switch n := f.(type) {
-	case *Atom:
-		if n.Op < OpLT || n.Op > OpNE {
-			return nil, fmt.Errorf("stl: invalid comparison op %d", int(n.Op))
-		}
-		return &atomNode{varIdx: c.varIndex(n.Var), op: n.Op, threshold: n.Threshold}, nil
-	case Const:
-		return &constNode{value: bool(n)}, nil
-	case *Not:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &notNode{child: child}, nil
-	case *And:
-		if atoms, ok := flatOrderAtoms(n.Children); ok {
-			// Kernel fusion for the dominant rule shape — a flat
-			// conjunction of ordering predicates — evaluates as a
-			// dispatch- and switch-free linear form per atom.
-			fa := &flatAndNode{atoms: make([]fusedAtom, len(atoms))}
-			for i, a := range atoms {
-				fa.atoms[i] = newFusedAtom(c.varIndex(a.Var), a.Op, a.Threshold)
-			}
-			return fa, nil
-		}
-		cs, err := c.compileChildren(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &andNode{children: cs}, nil
-	case *Or:
-		cs, err := c.compileChildren(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &orNode{children: cs}, nil
-	case *Implies:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return &impliesNode{l: l, r: r}, nil
-	case *Once:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := pastWindow(n.Bounds, c.dt)
-		if err != nil {
-			return nil, err
-		}
-		return newWindowNode(child, lo, hi, false), nil
-	case *Historically:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := pastWindow(n.Bounds, c.dt)
-		if err != nil {
-			return nil, err
-		}
-		return newWindowNode(child, lo, hi, true), nil
-	case *Since:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := pastWindow(n.Bounds, c.dt)
-		if err != nil {
-			return nil, err
-		}
-		return newSinceNode(l, r, lo, hi), nil
-	default:
-		return nil, fmt.Errorf("stl: cannot stream %T", f)
-	}
-}
-
-func (c *compiler) compileChildren(children []Formula) ([]streamNode, error) {
-	out := make([]streamNode, len(children))
-	for i, child := range children {
-		n, err := c.compile(child)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = n
-	}
-	return out, nil
-}
-
-// memoNode guards a node shared between formulas of one group: the
-// first step of a push advances the inner node, later steps within the
-// same push return the cached verdict, so shared stateful operators
-// consume each sample exactly once.
-type memoNode struct {
-	inner   streamNode
-	seq     uint64
-	sat     bool
-	rob     float64
-	visited bool // StateSamples dedup walk marker
-}
-
-//fleetvet:noalloc
-func (m *memoNode) step(ctx *stepCtx) (bool, float64) {
-	if m.seq == ctx.seq {
-		return m.sat, m.rob
-	}
-	m.seq = ctx.seq
-	m.sat, m.rob = m.inner.step(ctx)
-	return m.sat, m.rob
-}
-
-// state counts the subtree once per dedup walk: the owning group clears
-// every memo's visited flag before walking its roots.
-func (m *memoNode) state() int {
-	if m.visited {
-		return 0
-	}
-	m.visited = true
-	return m.inner.state()
-}
-
-func (m *memoNode) reset() {
-	m.seq = 0
-	m.inner.reset()
-}
-
-// StreamGroup evaluates many past-only formulas over one shared sample
-// stream with a hash-consed node DAG: identical subformulas (same
-// atoms, same windows) compile to a single stateful node shared by
-// every formula that contains it, cutting both per-push work and
-// retained operator state by the overlap factor. All formulas advance
-// together — one Push moves the whole group one sample — which is what
-// keeps sharing sound.
+// StreamGroup evaluates many past-only formulas over one sample stream:
+// it is a one-lane view of BatchStreamGroup, so the formulas share the
+// engine's hash-consed node DAG — identical subformulas (same atoms,
+// same windows) evaluate once per push and hold their operator state
+// once — and every guarantee of the engine (O(1) amortized pushes,
+// O(window) state, results exactly equal to the offline semantics)
+// holds per group. All formulas advance together — one Push moves the
+// whole group one sample — which is what keeps sharing sound.
 type StreamGroup struct {
-	comp     *compiler
-	formulas []Formula
-	roots    []streamNode
-	vals     []float64
-	sats     []bool
-	robs     []float64
-	n        int
-	ctx      stepCtx
+	batch *BatchStreamGroup
+	lane  [1]int    // the one lane every push names
+	vals  []float64 // Push's map-binding scratch, one slot per variable
+	sats  []bool    // Results scratch
+	robs  []float64
 }
 
 // NewStreamGroup creates an empty group at sampling period dtMin
 // minutes.
 func NewStreamGroup(dtMin float64) (*StreamGroup, error) {
-	if dtMin <= 0 {
-		return nil, fmt.Errorf("stl: non-positive sampling period %v", dtMin)
+	batch, err := NewBatchStreamGroup(dtMin, 1)
+	if err != nil {
+		return nil, err
 	}
-	return &StreamGroup{comp: newCompiler(dtMin, true)}, nil
+	return &StreamGroup{batch: batch}, nil
 }
 
 // Add compiles a past-only formula into the group and returns its
 // index. Formulas may only be added before the first Push (operator
 // state of shared nodes would otherwise be mid-stream).
 func (g *StreamGroup) Add(f Formula) (int, error) {
-	if f == nil {
-		return 0, fmt.Errorf("stl: nil formula")
-	}
-	if g.n > 0 {
-		return 0, fmt.Errorf("stl: cannot add formulas to a running group")
-	}
-	if !PastOnly(f) {
-		return 0, fmt.Errorf("stl: formula %q needs future knowledge; cannot monitor online", f)
-	}
-	root, err := g.comp.compile(f)
+	i, err := g.batch.Add(f)
 	if err != nil {
 		return 0, err
 	}
-	g.formulas = append(g.formulas, f)
-	g.roots = append(g.roots, root)
-	g.sats = append(g.sats, false)
-	g.robs = append(g.robs, 0)
-	for len(g.vals) < len(g.comp.vars) {
+	for len(g.vals) < len(g.batch.comp.vars) {
 		g.vals = append(g.vals, 0)
 	}
-	return len(g.roots) - 1, nil
+	g.sats = append(g.sats, false)
+	g.robs = append(g.robs, 0)
+	return i, nil
 }
 
 // Size returns the number of formulas in the group.
-func (g *StreamGroup) Size() int { return len(g.roots) }
+func (g *StreamGroup) Size() int { return g.batch.Size() }
 
 // Len returns the number of samples pushed.
-func (g *StreamGroup) Len() int { return g.n }
+func (g *StreamGroup) Len() int { return g.batch.LaneLen(0) }
 
 // Dt returns the sampling period in minutes.
-func (g *StreamGroup) Dt() float64 { return g.comp.dt }
+func (g *StreamGroup) Dt() float64 { return g.batch.Dt() }
 
 // Vars returns the variable table: PushVector values are indexed by
 // this order. The table grows only in Add, never during pushes.
-func (g *StreamGroup) Vars() []string { return g.comp.vars }
+func (g *StreamGroup) Vars() []string { return g.batch.Vars() }
 
 // VarIndex resolves a variable name to its PushVector slot.
-func (g *StreamGroup) VarIndex(name string) (int, bool) {
-	i, ok := g.comp.varIdx[name]
-	return i, ok
-}
+func (g *StreamGroup) VarIndex(name string) (int, bool) { return g.batch.VarIndex(name) }
 
 // Push consumes one sample for every formula in the group. A sample
 // missing a referenced variable is rejected before any operator state
@@ -439,7 +69,7 @@ func (g *StreamGroup) VarIndex(name string) (int, bool) {
 //
 //fleetvet:noalloc
 func (g *StreamGroup) Push(sample map[string]float64) error {
-	for i, name := range g.comp.vars {
+	for i, name := range g.batch.comp.vars {
 		v, ok := sample[name]
 		if !ok {
 			return fmt.Errorf("stl: unknown variable %q", name)
@@ -451,255 +81,127 @@ func (g *StreamGroup) Push(sample map[string]float64) error {
 
 // PushVector is the allocation- and map-free push: vals must hold one
 // value per Vars() entry, in table order. It is the hot path for
-// callers with a fixed vocabulary (e.g. the per-monitor rule sets).
+// callers with a fixed vocabulary.
 //
 //fleetvet:noalloc
 func (g *StreamGroup) PushVector(vals []float64) error {
-	if len(vals) != len(g.comp.vars) {
-		return fmt.Errorf("stl: value vector has %d entries, group reads %d variables",
-			len(vals), len(g.comp.vars))
-	}
-	g.ctx.vals = vals
-	g.ctx.seq = uint64(g.n) + 1
-	for i, r := range g.roots {
-		g.sats[i], g.robs[i] = r.step(&g.ctx)
-	}
-	g.ctx.vals = nil
-	g.n++
-	return nil
+	return g.batch.PushLanes(g.lane[:], vals)
 }
 
-// Sat returns formula i's satisfaction at the newest sample.
-func (g *StreamGroup) Sat(i int) bool { return g.sats[i] }
+// Sat returns formula i's satisfaction at the newest sample (false
+// before the first push).
+func (g *StreamGroup) Sat(i int) bool {
+	if g.batch.lastN == 0 {
+		return false
+	}
+	return g.batch.roots[i].output().sat[0]
+}
 
-// Rob returns formula i's robustness margin at the newest sample.
-func (g *StreamGroup) Rob(i int) float64 { return g.robs[i] }
+// Rob returns formula i's robustness margin at the newest sample (0
+// before the first push).
+func (g *StreamGroup) Rob(i int) float64 {
+	if g.batch.lastN == 0 {
+		return 0
+	}
+	return g.batch.roots[i].output().rob[0]
+}
 
 // Results returns the satisfaction and robustness of every formula at
 // the newest sample, indexed by Add order. The slices are reused by the
-// next Push; callers that retain them must copy.
-func (g *StreamGroup) Results() (sats []bool, robs []float64) { return g.sats, g.robs }
+// next call; callers that retain them must copy.
+func (g *StreamGroup) Results() (sats []bool, robs []float64) {
+	for i := range g.sats {
+		g.sats[i], g.robs[i] = g.Sat(i), g.Rob(i)
+	}
+	return g.sats, g.robs
+}
 
 // StateSamples returns the total buffered per-sample entries across the
 // group's unique operator nodes: shared windows count once, which is
 // the hash-consing saving the boundedness tests assert.
-func (g *StreamGroup) StateSamples() int {
-	for _, m := range g.comp.memos {
-		m.visited = false
-	}
-	t := 0
-	for _, r := range g.roots {
-		t += r.state()
-	}
-	return t
-}
+func (g *StreamGroup) StateSamples() int { return g.batch.StateSamples() }
 
 // Reset clears all operator state, as if no samples had been pushed.
-func (g *StreamGroup) Reset() {
-	for _, r := range g.roots {
-		r.reset()
+func (g *StreamGroup) Reset() { g.batch.Reset() }
+
+// Stream is the incremental streaming evaluator for one past-only
+// formula: a one-formula StreamGroup. Each temporal operator compiles
+// to a stateful node — ring buffers for the bounded-history delay
+// lines, monotonic (Lemire) deques for the Once/Historically window
+// extrema, and a clamp-merge candidate deque for bounded Since — so
+// every Push costs O(1) amortized and the total retained state is
+// O(sum of window lengths), independent of how long the session runs.
+// Verdicts and robustness are exactly equal, sample for sample, to
+// evaluating the formula's Sat/Robustness on the full recorded trace
+// (the differential property tests in prop_test.go enforce this on
+// randomized formulas). Repeated stateful subformulas are hash-consed
+// like in any group, so they buffer their state once.
+//
+// Every variable the formula references must be present in every pushed
+// sample; a missing variable is an error (the offline trace semantics
+// backfill NaN, which silently poisons windowed extrema — a streaming
+// hazard monitor should fail loudly instead).
+type Stream struct {
+	formula Formula
+	group   *StreamGroup
+	sat     []bool // the formula's output vectors in the group
+	rob     []float64
+}
+
+// NewStream compiles a past-only formula for streaming evaluation at
+// sampling period dtMin minutes.
+func NewStream(f Formula, dtMin float64) (*Stream, error) {
+	g, err := NewStreamGroup(dtMin)
+	if err != nil {
+		return nil, err
 	}
-	g.n = 0
-	for i := range g.sats {
-		g.sats[i], g.robs[i] = false, 0
+	if _, err := g.Add(f); err != nil {
+		return nil, err
 	}
+	sat, rob := g.batch.Outputs(0)
+	return &Stream{formula: f, group: g, sat: sat, rob: rob}, nil
 }
 
-// pastWindow converts minute bounds to inclusive sample offsets; hi < 0
-// encodes an unbounded window (back to the first sample). It delegates
-// to the same Bounds.window conversion the offline evaluator uses —
-// with horizon -1 an unbounded B comes back as exactly that sentinel —
-// so streaming and offline can never disagree on window edges.
-func pastWindow(b Bounds, dt float64) (lo, hi int, err error) {
-	return b.window(dt, -1)
-}
+// Formula returns the compiled formula.
+func (s *Stream) Formula() Formula { return s.formula }
 
-// --- stateless nodes -------------------------------------------------
+// Dt returns the sampling period in minutes.
+func (s *Stream) Dt() float64 { return s.group.Dt() }
 
-type atomNode struct {
-	varIdx    int
-	op        CmpOp
-	threshold float64
-}
+// Len returns the number of samples pushed.
+func (s *Stream) Len() int { return s.group.Len() }
 
+// Push consumes one sample and returns boolean satisfaction and the
+// robustness margin at that sample. A sample missing a referenced
+// variable is rejected before any operator state advances, so the
+// stream stays consistent and the caller may push a corrected sample.
+//
 //fleetvet:noalloc
-func (a *atomNode) step(ctx *stepCtx) (bool, float64) {
-	v := ctx.vals[a.varIdx]
-	var sat bool
-	var rob float64
-	switch a.op {
-	case OpLT:
-		sat, rob = v < a.threshold, a.threshold-v
-	case OpLE:
-		sat, rob = v <= a.threshold, a.threshold-v
-	case OpGT:
-		sat, rob = v > a.threshold, v-a.threshold
-	case OpGE:
-		sat, rob = v >= a.threshold, v-a.threshold
-	case OpEQ:
-		sat, rob = v == a.threshold, -math.Abs(v-a.threshold)
-	case OpNE:
-		sat, rob = v != a.threshold, math.Abs(v-a.threshold)
+func (s *Stream) Push(sample map[string]float64) (bool, float64, error) {
+	if err := s.group.Push(sample); err != nil {
+		return false, 0, err
 	}
-	return sat, rob
+	return s.sat[0], s.rob[0], nil
 }
 
-func (a *atomNode) state() int { return 0 }
-func (a *atomNode) reset()     {}
-
-type constNode struct{ value bool }
-
-//fleetvet:noalloc
-func (c *constNode) step(*stepCtx) (bool, float64) {
-	if c.value {
-		return true, math.Inf(1)
+// Last returns the verdict and robustness at the newest sample.
+func (s *Stream) Last() (sat bool, rob float64, err error) {
+	if s.Len() == 0 {
+		return false, 0, fmt.Errorf("stl: no samples pushed")
 	}
-	return false, math.Inf(-1)
+	return s.sat[0], s.rob[0], nil
 }
 
-func (c *constNode) state() int { return 0 }
-func (c *constNode) reset()     {}
+// StateSamples returns the total number of buffered per-sample entries
+// across the unique operator nodes — the quantity that must stay
+// O(window) regardless of how many samples have been pushed (asserted
+// by the boundedness tests).
+func (s *Stream) StateSamples() int { return s.group.StateSamples() }
 
-type notNode struct{ child streamNode }
+// Reset clears all operator state, as if no samples had been pushed.
+func (s *Stream) Reset() { s.group.Reset() }
 
-//fleetvet:noalloc
-func (n *notNode) step(ctx *stepCtx) (bool, float64) {
-	sat, rob := n.child.step(ctx)
-	return !sat, -rob
-}
-
-func (n *notNode) state() int { return n.child.state() }
-func (n *notNode) reset()     { n.child.reset() }
-
-// flatOrderAtoms reports whether every child is an ordering predicate
-// (<, <=, >, >=) — the shapes that reduce to a linear robustness form.
-func flatOrderAtoms(children []Formula) ([]*Atom, bool) {
-	out := make([]*Atom, len(children))
-	for i, c := range children {
-		a, ok := c.(*Atom)
-		if !ok || a.Op < OpLT || a.Op > OpGE {
-			return nil, false
-		}
-		out[i] = a
-	}
-	return out, true
-}
-
-// fusedAtom is an ordering predicate precompiled to rob = v·mul + add:
-// mul = -1, add = θ for v < θ / v <= θ (rob = θ - v) and mul = 1,
-// add = -θ for v > θ / v >= θ (rob = v - θ), exactly the atomNode
-// arithmetic with the comparison switch folded away. strict
-// distinguishes satisfaction rob > 0 from rob >= 0.
-type fusedAtom struct {
-	varIdx   int
-	mul, add float64
-	strict   bool
-}
-
-func newFusedAtom(varIdx int, op CmpOp, threshold float64) fusedAtom {
-	f := fusedAtom{varIdx: varIdx, mul: 1, add: -threshold, strict: op == OpLT || op == OpGT}
-	if op == OpLT || op == OpLE {
-		f.mul, f.add = -1, threshold
-	}
-	return f
-}
-
-// flatAndNode is a conjunction of ordering predicates fused into one
-// node: the common Safety Context Specification antecedent shape, hot
-// enough in per-cycle monitoring to deserve a dispatch- and branch-lean
-// loop. Semantics are exactly andNode over the same atoms.
-type flatAndNode struct{ atoms []fusedAtom }
-
-//fleetvet:noalloc
-func (a *flatAndNode) step(ctx *stepCtx) (bool, float64) {
-	sat := true
-	rob := math.Inf(1)
-	for i := range a.atoms {
-		at := &a.atoms[i]
-		cr := ctx.vals[at.varIdx]*at.mul + at.add
-		// Negated comparisons so a NaN input reads unsatisfied, exactly
-		// like the unfused atom's direct v-vs-θ comparison.
-		if at.strict {
-			if !(cr > 0) {
-				sat = false
-			}
-		} else if !(cr >= 0) {
-			sat = false
-		}
-		// Compare-based min with explicit NaN propagation: equal to the
-		// math.Min fold of andNode (a NaN input poisons the conjunction's
-		// robustness there too), minus its ±0 branches.
-		if cr < rob || cr != cr {
-			rob = cr
-		}
-	}
-	return sat, rob
-}
-
-func (a *flatAndNode) state() int { return 0 }
-func (a *flatAndNode) reset()     {}
-
-type andNode struct{ children []streamNode }
-
-//fleetvet:noalloc
-func (a *andNode) step(ctx *stepCtx) (bool, float64) {
-	sat := true
-	rob := math.Inf(1)
-	for _, c := range a.children {
-		cs, cr := c.step(ctx)
-		sat = sat && cs
-		rob = math.Min(rob, cr)
-	}
-	return sat, rob
-}
-
-func (a *andNode) state() int { return childrenState(a.children) }
-func (a *andNode) reset()     { resetChildren(a.children) }
-
-type orNode struct{ children []streamNode }
-
-//fleetvet:noalloc
-func (o *orNode) step(ctx *stepCtx) (bool, float64) {
-	sat := false
-	rob := math.Inf(-1)
-	for _, c := range o.children {
-		cs, cr := c.step(ctx)
-		sat = sat || cs
-		rob = math.Max(rob, cr)
-	}
-	return sat, rob
-}
-
-func (o *orNode) state() int { return childrenState(o.children) }
-func (o *orNode) reset()     { resetChildren(o.children) }
-
-type impliesNode struct{ l, r streamNode }
-
-//fleetvet:noalloc
-func (im *impliesNode) step(ctx *stepCtx) (bool, float64) {
-	ls, lr := im.l.step(ctx)
-	rs, rr := im.r.step(ctx)
-	return !ls || rs, math.Max(-lr, rr)
-}
-
-func (im *impliesNode) state() int { return im.l.state() + im.r.state() }
-func (im *impliesNode) reset()     { im.l.reset(); im.r.reset() }
-
-func childrenState(cs []streamNode) int {
-	t := 0
-	for _, c := range cs {
-		t += c.state()
-	}
-	return t
-}
-
-func resetChildren(cs []streamNode) {
-	for _, c := range cs {
-		c.reset()
-	}
-}
-
-// --- shared stateful machinery ---------------------------------------
+// --- per-lane operator cores -----------------------------------------
 
 // delayLine is a fixed-size FIFO that releases each pushed value after
 // exactly `size` further pushes: the [A, ...] lower bound of a past
@@ -710,8 +212,8 @@ type delayLine struct {
 	n    int
 }
 
-func newDelayLine(size int) *delayLine {
-	return &delayLine{buf: make([]float64, size)}
+func newDelayLine(size int) delayLine {
+	return delayLine{buf: make([]float64, size)}
 }
 
 // push inserts v and returns the value falling out of the line, if any.
@@ -750,11 +252,11 @@ type monoDeque struct {
 	isMin bool
 }
 
-func newMonoDeque(capacity int, isMin bool) *monoDeque {
+func newMonoDeque(capacity int, isMin bool) monoDeque {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &monoDeque{
+	return monoDeque{
 		idx:   make([]int, 0, capacity),
 		val:   make([]float64, 0, capacity),
 		isMin: isMin,
@@ -833,34 +335,26 @@ func (q *monoDeque) reset() {
 
 // extremumCore computes the sliding extremum of one float64 stream over
 // the past window [lo, hi] in sample offsets (hi < 0: unbounded). It is
-// instantiated twice per temporal node: once over robustness values and
-// once over satisfaction encoded as 0/1 (min = and, max = or), so both
-// semantics stream through identical machinery.
+// instantiated twice per lane of a window node: once over robustness
+// values and once over satisfaction encoded as 0/1 (min = and, max =
+// or), so both semantics stream through identical machinery.
 type extremumCore struct {
 	lo, hi int
 	isMin  bool
 	i      int // samples consumed
 
-	delay *delayLine
-	dq    *monoDeque // bounded window
-	agg   float64    // unbounded window running extremum
+	delay delayLine
+	dq    monoDeque // bounded window (hi >= 0)
+	agg   float64   // unbounded window running extremum
 }
 
-func newExtremumCore(lo, hi int, isMin bool) *extremumCore {
-	c := &extremumCore{lo: lo, hi: hi, isMin: isMin, delay: newDelayLine(lo)}
+func newExtremumCore(lo, hi int, isMin bool) extremumCore {
+	c := extremumCore{lo: lo, hi: hi, isMin: isMin, delay: newDelayLine(lo)}
 	if hi >= 0 {
 		c.dq = newMonoDeque(hi-lo+1, isMin)
 	}
-	c.resetAgg()
+	c.agg = c.empty()
 	return c
-}
-
-func (c *extremumCore) resetAgg() {
-	if c.isMin {
-		c.agg = math.Inf(1)
-	} else {
-		c.agg = math.Inf(-1)
-	}
 }
 
 // empty is the extremum of an empty window: -Inf for max (Once of
@@ -897,61 +391,13 @@ func (c *extremumCore) push(v float64) float64 {
 	return c.dq.front()
 }
 
-func (c *extremumCore) state() int {
-	n := c.delay.state()
-	if c.dq != nil {
-		n += c.dq.len()
-	}
-	return n
-}
+func (c *extremumCore) state() int { return c.delay.state() + c.dq.len() }
 
 func (c *extremumCore) reset() {
 	c.i = 0
 	c.delay.reset()
-	if c.dq != nil {
-		c.dq.reset()
-	}
-	c.resetAgg()
-}
-
-// windowNode is Once (max) or Historically (min) over its child.
-type windowNode struct {
-	child streamNode
-	rob   *extremumCore
-	sat   *extremumCore
-}
-
-func newWindowNode(child streamNode, lo, hi int, isMin bool) *windowNode {
-	return &windowNode{
-		child: child,
-		rob:   newExtremumCore(lo, hi, isMin),
-		sat:   newExtremumCore(lo, hi, isMin),
-	}
-}
-
-//fleetvet:noalloc
-func (w *windowNode) step(ctx *stepCtx) (bool, float64) {
-	cs, cr := w.child.step(ctx)
-	rob := w.rob.push(cr)
-	sat := w.sat.push(boolToFloat(cs))
-	return sat > 0.5, rob
-}
-
-func (w *windowNode) state() int {
-	return w.child.state() + w.rob.state() + w.sat.state()
-}
-
-func (w *windowNode) reset() {
-	w.child.reset()
-	w.rob.reset()
-	w.sat.reset()
-}
-
-func boolToFloat(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	c.dq.reset()
+	c.agg = c.empty()
 }
 
 // --- Since -----------------------------------------------------------
@@ -980,22 +426,21 @@ type sinceCore struct {
 	lo, hi int
 	i      int
 
-	phiWin   *monoDeque // sliding min of phi over the last lo samples
-	psiDelay *delayLine // psi values waiting to become candidates
+	phiWin   monoDeque // lo > 0: sliding min of phi over the last lo samples
+	psiDelay delayLine // psi values waiting to become candidates
 
-	cand *monoDeque // bounded hi: candidate max-deque
-	z    float64    // unbounded hi: running max
+	cand monoDeque // bounded hi: candidate max-deque
+	z    float64   // unbounded hi: running max
 }
 
-func newSinceCore(lo, hi int) *sinceCore {
-	c := &sinceCore{lo: lo, hi: hi, psiDelay: newDelayLine(lo)}
+func newSinceCore(lo, hi int) sinceCore {
+	c := sinceCore{lo: lo, hi: hi, psiDelay: newDelayLine(lo), z: math.Inf(-1)}
 	if lo > 0 {
 		c.phiWin = newMonoDeque(lo, true)
 	}
 	if hi >= 0 {
 		c.cand = newMonoDeque(hi-lo+1, false)
 	}
-	c.z = math.Inf(-1)
 	return c
 }
 
@@ -1009,7 +454,7 @@ func (c *sinceCore) push(phi, psi float64) float64 {
 
 	// Sliding min of phi over the last lo samples (k in [i-lo+1, i]):
 	// the pre-clamp applied to a candidate the moment it enters.
-	if c.phiWin != nil {
+	if c.lo > 0 {
 		c.phiWin.push(i, phi)
 		c.phiWin.evictBefore(i - c.lo + 1)
 	}
@@ -1019,7 +464,7 @@ func (c *sinceCore) push(phi, psi float64) float64 {
 	cv := math.Inf(-1)
 	if mature {
 		cv = dpsi
-		if c.phiWin != nil {
+		if c.lo > 0 {
 			cv = math.Min(cv, c.phiWin.front())
 		}
 	}
@@ -1057,59 +502,13 @@ func (c *sinceCore) push(phi, psi float64) float64 {
 }
 
 func (c *sinceCore) state() int {
-	n := c.psiDelay.state()
-	if c.phiWin != nil {
-		n += c.phiWin.len()
-	}
-	if c.cand != nil {
-		n += c.cand.len()
-	}
-	return n
+	return c.psiDelay.state() + c.phiWin.len() + c.cand.len()
 }
 
 func (c *sinceCore) reset() {
 	c.i = 0
 	c.psiDelay.reset()
-	if c.phiWin != nil {
-		c.phiWin.reset()
-	}
-	if c.cand != nil {
-		c.cand.reset()
-	}
+	c.phiWin.reset()
+	c.cand.reset()
 	c.z = math.Inf(-1)
-}
-
-// sinceNode is  L S[a,b] R  over its children.
-type sinceNode struct {
-	l, r streamNode
-	rob  *sinceCore
-	sat  *sinceCore
-}
-
-func newSinceNode(l, r streamNode, lo, hi int) *sinceNode {
-	return &sinceNode{
-		l: l, r: r,
-		rob: newSinceCore(lo, hi),
-		sat: newSinceCore(lo, hi),
-	}
-}
-
-//fleetvet:noalloc
-func (s *sinceNode) step(ctx *stepCtx) (bool, float64) {
-	ls, lr := s.l.step(ctx)
-	rs, rr := s.r.step(ctx)
-	rob := s.rob.push(lr, rr)
-	sat := s.sat.push(boolToFloat(ls), boolToFloat(rs))
-	return sat > 0.5, rob
-}
-
-func (s *sinceNode) state() int {
-	return s.l.state() + s.r.state() + s.rob.state() + s.sat.state()
-}
-
-func (s *sinceNode) reset() {
-	s.l.reset()
-	s.r.reset()
-	s.rob.reset()
-	s.sat.reset()
 }

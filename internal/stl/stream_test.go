@@ -406,3 +406,138 @@ func TestStreamGroupReset(t *testing.T) {
 		t.Error("since held across Reset: stale shared operator state")
 	}
 }
+
+// TestSamplingPeriodFailsClosed: every constructor that takes a sampling
+// period rejects one that is NaN, infinite, or not positive.
+func TestSamplingPeriodFailsClosed(t *testing.T) {
+	f := MustParse("O[0,30] (x > 1)")
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if err := ValidatePeriod(dt); err == nil {
+			t.Errorf("ValidatePeriod(%v) accepted", dt)
+		}
+		if _, err := NewTrace(dt); err == nil {
+			t.Errorf("NewTrace(%v) accepted", dt)
+		}
+		if _, err := NewStream(f, dt); err == nil {
+			t.Errorf("NewStream(%v) accepted", dt)
+		}
+		if _, err := NewStreamGroup(dt); err == nil {
+			t.Errorf("NewStreamGroup(%v) accepted", dt)
+		}
+		if _, err := NewBatchStreamGroup(dt, 2); err == nil {
+			t.Errorf("NewBatchStreamGroup(%v) accepted", dt)
+		}
+		if _, err := NewOnlineMonitor(f, dt); err == nil {
+			t.Errorf("NewOnlineMonitor(%v) accepted", dt)
+		}
+	}
+}
+
+// TestOversizedWindowFailsClosed: a window whose sample offsets overflow
+// an int (a vanishing period, an infinite lower bound) or exceed what a
+// streaming core may buffer is a compile error, not a panic inside Add
+// and not a wrapped-around offset in the offline evaluator.
+func TestOversizedWindowFailsClosed(t *testing.T) {
+	once := MustParse("O[0,30] (x > 1)")
+	for _, dt := range []float64{1e-300, 1e-12} {
+		if _, err := NewStream(once, dt); err == nil {
+			t.Errorf("dt=%v: 30-minute window compiled", dt)
+		}
+		g, err := NewBatchStreamGroup(dt, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Add(once); err == nil {
+			t.Errorf("dt=%v: batched 30-minute window compiled", dt)
+		}
+	}
+	tr, err := NewTrace(1e-300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Set("x", []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Formula{once, MustParse("G[5,10] (x > 1)")} {
+		if _, err := f.Sat(tr, 1); err == nil {
+			t.Errorf("offline %s at dt=1e-300 evaluated", f)
+		}
+		if _, err := f.Robustness(tr, 1); err == nil {
+			t.Errorf("offline robustness of %s at dt=1e-300 evaluated", f)
+		}
+	}
+	for _, b := range []Bounds{{A: math.Inf(1), B: math.Inf(1)}, {A: math.NaN(), B: 5}, {A: 0, B: math.NaN()}} {
+		if _, err := NewStream(&Once{Bounds: b, Child: MustParse("x > 1")}, 5); err == nil {
+			t.Errorf("bounds %v compiled", b)
+		}
+	}
+	// Unbounded windows keep no buffer, so any valid period streams them.
+	if _, err := NewStream(MustParse("H (x > 1)"), 1e-300); err != nil {
+		t.Errorf("unbounded window at dt=1e-300: %v", err)
+	}
+}
+
+// TestStreamInfiniteOperandsMatchOffline: ordering atoms compile to a
+// fused linear form, but satisfaction must stay the exact comparison
+// when the value and the threshold are the same infinity (where θ - v is
+// NaN) — alone and inside a fused conjunction.
+func TestStreamInfiniteOperandsMatchOffline(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	values := []float64{-inf, -1, 0, 1, inf, nan}
+	for _, th := range []float64{-inf, 0, inf} {
+		for _, op := range []CmpOp{OpLT, OpLE, OpGT, OpGE, OpEQ, OpNE} {
+			atom := &Atom{Var: "x", Op: op, Threshold: th}
+			for _, f := range []Formula{atom, NewAnd(atom, &Atom{Var: "y", Op: OpGE, Threshold: -inf})} {
+				tr, err := NewTrace(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewStream(f, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range values {
+					sample := map[string]float64{"x": v, "y": values[(i+2)%len(values)]}
+					tr.Append(sample)
+					gotSat, gotRob, err := s.Push(sample)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantSat, _ := f.Sat(tr, i)
+					wantRob, _ := f.Robustness(tr, i)
+					if gotSat != wantSat || !sameFloat(gotRob, wantRob) {
+						t.Errorf("%s at x=%v y=%v: streaming (%v, %v), offline (%v, %v)",
+							f, v, sample["y"], gotSat, gotRob, wantSat, wantRob)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamEmptyConnectives: an empty conjunction is true with +Inf
+// robustness and an empty disjunction false with -Inf, as offline.
+func TestStreamEmptyConnectives(t *testing.T) {
+	for _, f := range []Formula{&And{}, &Or{}, &Once{Bounds: Unbounded, Child: &Or{}}} {
+		s, err := NewStream(f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTrace(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			tr.Append(map[string]float64{})
+			gotSat, gotRob, err := s.Push(map[string]float64{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSat, _ := f.Sat(tr, i)
+			wantRob, _ := f.Robustness(tr, i)
+			if gotSat != wantSat || gotRob != wantRob {
+				t.Errorf("%s at %d: streaming (%v, %v), offline (%v, %v)", f, i, gotSat, gotRob, wantSat, wantRob)
+			}
+		}
+	}
+}
