@@ -10,13 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// quickCampaign runs a thinned campaign on two patients for test speed.
-func quickCampaign(t *testing.T, plat Platform) []*trace.Trace {
+// quickCampaign runs a thinned campaign on two patients for test speed,
+// on at most parallel workers (0 selects NumCPU).
+func quickCampaign(t *testing.T, plat Platform, parallel int) []*trace.Trace {
 	t.Helper()
 	traces, err := Run(CampaignConfig{
 		Platform:  plat,
 		Patients:  []int{0, 4},
 		Scenarios: ScenarioSubset(12),
+		Parallel:  parallel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +155,18 @@ func TestFaultFreeRuns(t *testing.T) {
 }
 
 func TestByPatient(t *testing.T) {
-	traces := quickCampaign(t, Glucosym())
+	traces := quickCampaign(t, Glucosym(), 0)
 	groups := ByPatient(traces)
 	if len(groups) != 2 {
 		t.Fatalf("%d patient groups, want 2", len(groups))
 	}
+}
+
+// quickSuiteConfig trains small monitors on a quick campaign.
+var quickSuiteConfig = SuiteConfig{
+	Seed: 1, MaxMLSamples: 3000, MaxLSTMWindows: 500,
+	MLPEpochs: 3, LSTMEpochs: 2,
+	MLPHidden: []int{16}, LSTMUnits: []int{8},
 }
 
 func TestSuiteEndToEnd(t *testing.T) {
@@ -165,7 +174,7 @@ func TestSuiteEndToEnd(t *testing.T) {
 		t.Skip("suite training is seconds-long")
 	}
 	plat := Glucosym()
-	traces := quickCampaign(t, plat)
+	traces := quickCampaign(t, plat, 0)
 	folds := stllearn.Folds(traces, 4)
 	train := stllearn.TrainingSet(folds, 0)
 	test := folds[0]
@@ -173,11 +182,7 @@ func TestSuiteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := BuildSuite(plat, train, ff, SuiteConfig{
-		Seed: 1, MaxMLSamples: 3000, MaxLSTMWindows: 500,
-		MLPEpochs: 3, LSTMEpochs: 2,
-		MLPHidden: []int{16}, LSTMUnits: []int{8},
-	})
+	suite, err := BuildSuite(plat, train, ff, quickSuiteConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +272,7 @@ func TestSuiteEndToEnd(t *testing.T) {
 }
 
 func TestFigures(t *testing.T) {
-	traces := quickCampaign(t, Glucosym())
+	traces := quickCampaign(t, Glucosym(), 0)
 	cov := HazardCoverageByPatient(traces)
 	if len(cov.Patients) != 2 {
 		t.Fatalf("%d patients in coverage", len(cov.Patients))

@@ -72,9 +72,9 @@ func TestBatchMLMatchesPerSessionMonitor(t *testing.T) {
 	}
 }
 
-func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const window = 4
+// trainSmallLSTM fits a small LSTM over random observation windows.
+func trainSmallLSTM(t *testing.T, rng *rand.Rand, window int) *ml.LSTM {
+	t.Helper()
 	X := make([][][]float64, 150)
 	y := make([]int, len(X))
 	for i := range X {
@@ -94,6 +94,14 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lstm
+}
+
+func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const window = 4
+	lstm := trainSmallLSTM(t, rng, window)
+	var err error
 
 	const lanesN = 7
 	perLane := make([]*SequenceMonitor, lanesN)
