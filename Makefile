@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario fuzz-stl short vet fmt lint ci
+.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario fuzz-stl fuzz-trace short vet fmt lint ci
 
 ## build: compile every package and command
 build:
@@ -86,6 +86,12 @@ fuzz-scenario:
 ## stream exactly the offline semantics at every sample.
 fuzz-stl:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamMatchesOffline$$' -fuzztime $(FUZZTIME) ./internal/stl
+
+## fuzz-trace: short fuzz pass over the trace CSV reader — every input
+## must error or yield a trace that passes Validate and goes through
+## ML training-set construction and monitor replay without panicking.
+fuzz-trace:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 ## smoke-falsify: end-to-end falsifier smoke — search the built-in
 ## meal+occlusion space with a small fixed-seed budget and write the

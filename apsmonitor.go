@@ -337,22 +337,23 @@ func LearnThresholds(rules []Rule, traces []*Trace, cfg LearnConfig) (Thresholds
 	return stllearn.Learn(rules, traces, cfg)
 }
 
-// NewCAWTMonitor builds the context-aware monitor with learned
-// thresholds.
+// NewCAWTMonitor builds the per-session context-aware monitor with
+// learned thresholds: a one-lane view of NewBatchCAWTMonitor, so its
+// verdicts and snapshots equal a fleet shard lane's by construction.
 func NewCAWTMonitor(rules []Rule, th Thresholds) (Monitor, error) {
 	return monitor.NewCAWT(rules, th, scs.Params{})
 }
 
-// NewCAWOTMonitor builds the context-aware baseline with default
-// thresholds.
+// NewCAWOTMonitor builds the per-session context-aware baseline with
+// default thresholds: a one-lane view of NewBatchCAWOTMonitor.
 func NewCAWOTMonitor(rules []Rule) (Monitor, error) {
 	return monitor.NewCAWOT(rules, scs.Params{})
 }
 
 // NewBatchCAWTMonitor builds the shard-batched context-aware monitor
 // with learned thresholds: one struct-of-arrays rule evaluation per
-// control cycle serves a whole fleet shard, bit-identical per lane to
-// NewCAWTMonitor (use via FleetConfig.NewBatchMonitor).
+// control cycle serves a whole fleet shard (use via
+// FleetConfig.NewBatchMonitor). NewCAWTMonitor is its one-lane view.
 func NewBatchCAWTMonitor(rules []Rule, th Thresholds) (BatchMonitor, error) {
 	return monitor.NewBatchCAWT(rules, th, scs.Params{})
 }
@@ -485,5 +486,6 @@ func RiskIndex(bg float64) float64 { return risk.Value(bg) }
 func AnnotateMonitor(m Monitor, tr *Trace) { monitor.Annotate(m, tr) }
 
 // ReadTraceCSV parses a trace previously serialized with Trace.WriteCSV
-// (accepting both the current and the pre-basal meta layout).
+// (accepting both the current and the pre-basal meta layout) and fails
+// closed on one that does not pass Trace.Validate.
 func ReadTraceCSV(r io.Reader) (*Trace, error) { return trace.ReadCSV(r) }

@@ -418,7 +418,7 @@ func BenchmarkFleetMonitorInference100(b *testing.B) {
 	b.Run("per-session", func(b *testing.B) {
 		mons := make([]monitor.Monitor, sessions)
 		for k := range mons {
-			m, err := monitor.NewMLMonitor("MLP", mlp)
+			m, err := monitor.NewMLMonitor("MLP", mlp.NewBatch())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -481,7 +481,7 @@ func BenchmarkFleetEngine100Sessions(b *testing.B) {
 	b.Run("per-session", func(b *testing.B) {
 		cfg := base
 		cfg.NewMonitor = func(int) (monitor.Monitor, error) {
-			return monitor.NewMLMonitor("MLP", mlp)
+			return monitor.NewMLMonitor("MLP", mlp.NewBatch())
 		}
 		run(b, cfg)
 	})
@@ -543,9 +543,9 @@ func benchSTLOnlinePush(b *testing.B, m stlPusher, n int) {
 }
 
 // BenchmarkCAWTStep compares the streaming context-aware monitor (one
-// hash-consed scs.StreamSet push per cycle, yielding alarm + margin +
-// rule attribution) against the legacy eager per-rule evaluator (alarm
-// only). The acceptance bar for the verdict-API redesign is streaming
+// hash-consed rule-stream push per cycle through a one-lane batch,
+// yielding alarm + margin + rule attribution) against the legacy eager
+// per-rule evaluator (alarm only). The acceptance bar for the verdict-API redesign is streaming
 // no slower than legacy while carrying strictly more information.
 func BenchmarkCAWTStep(b *testing.B) {
 	rules := apsmonitor.TableI()

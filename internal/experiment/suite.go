@@ -174,7 +174,8 @@ var MonitorNames = []string{"Guideline", "MPC", "CAWOT", "CAWT", "DT", "MLP", "L
 
 // NewMonitor instantiates a fresh monitor for a patient. CAWT uses the
 // patient-specific thresholds (population fallback); CAWT-pop forces the
-// population table (Table VIII comparison).
+// population table (Table VIII comparison). The ML monitors share the
+// suite's trained weights, each with its own inference scratch.
 func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 	switch name {
 	case "CAWT":
@@ -200,28 +201,11 @@ func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 	case "DT":
 		return monitor.NewMLMonitor("DT", s.DT)
 	case "MLP":
-		return monitor.NewMLMonitor("MLP", s.MLP)
+		return monitor.NewMLMonitor("MLP", s.MLP.NewBatch())
 	case "LSTM":
-		return monitor.NewSequenceMonitor("LSTM", s.LSTM, s.Config.LSTMWindow)
+		return monitor.NewSequenceMonitor("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
 	default:
 		return nil, fmt.Errorf("experiment: unknown monitor %q", name)
-	}
-}
-
-// NewBatchMonitor instantiates a batched-inference monitor for the ML
-// baselines (DT, MLP, LSTM): one per fleet shard, sharing this suite's
-// trained weights. Verdicts are bit-identical to the per-session
-// monitors of NewMonitor.
-func (s *Suite) NewBatchMonitor(name string) (monitor.BatchMonitor, error) {
-	switch name {
-	case "DT":
-		return monitor.NewBatchML("DT", s.DT)
-	case "MLP":
-		return monitor.NewBatchML("MLP", s.MLP.NewBatch())
-	case "LSTM":
-		return monitor.NewBatchSequence("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
-	default:
-		return nil, fmt.Errorf("experiment: no batched variant of monitor %q", name)
 	}
 }
 

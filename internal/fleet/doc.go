@@ -33,9 +33,10 @@
 // (Config.Telemetry). Each produces exactly what a per-session
 // counterpart produces — not statistically, bit-for-bit. The
 // per-session counterparts live in the tests as oracles: a scalar
-// patient bank (TestFleetBatchedSteppingMatchesPerSession), per-session
-// monitors (TestFleetBatchedMonitorMatchesPerSession), and an offline
-// per-session scs.StreamSet replay of every trace
+// patient bank (TestFleetBatchedSteppingMatchesPerSession), a scalar
+// PredictProba monitor (TestFleetBatchedMonitorMatchesPerSession; the
+// library's per-session monitors are one-lane views of the batched
+// ones), and an offline per-session scs.StreamSet replay of every trace
 // (TestFleetBatchedTelemetryMatchesPerSession; a StreamSet is one lane
 // of the same rule-stream engine, so this pins the shard's lane
 // orchestration, while internal/stl and internal/scs pin the engine to

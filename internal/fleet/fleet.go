@@ -52,36 +52,26 @@ type TelemetryConfig struct {
 	// instead of attaching a separate telemetry rule set — the
 	// one-evaluation invariant for serving fleets. Requires NewMonitor
 	// building margin-carrying monitors (monitors exposing
-	// StreamVerdict, e.g. monitor.ContextAware) or NewBatchMonitor
-	// building lane-margin monitors (monitor.BatchContextAware).
+	// StreamVerdict: monitor.ContextAware, the one-lane view of
+	// monitor.BatchContextAware) or NewBatchMonitor building lane-margin
+	// monitors (monitors exposing StreamVerdictLane:
+	// monitor.BatchContextAware). Either way the verdict comes from the
+	// same batched rule-stream engine.
 	FromMonitor bool
 }
 
-// marginMonitor is the capability FromMonitor telemetry needs: access
-// to the monitor's full streaming verdict for the last step.
+// marginMonitor is what FromMonitor telemetry needs of a per-session
+// monitor: its full streaming verdict for the last step.
 // monitor.ContextAware implements it.
 type marginMonitor interface {
 	StreamVerdict() (scs.StreamVerdict, bool)
 }
 
-// laneMarginMonitor is the batched counterpart of marginMonitor: a
-// BatchMonitor exposing each lane's full streaming verdict.
-// monitor.BatchContextAware implements it.
+// laneMarginMonitor is the same capability for a shard-batched monitor,
+// per lane. monitor.BatchContextAware implements it (a per-session
+// ContextAware is its one-lane view).
 type laneMarginMonitor interface {
 	StreamVerdictLane(lane int) (scs.StreamVerdict, bool)
-}
-
-// laneMargin adapts one lane of a laneMarginMonitor to the per-session
-// marginMonitor surface, so FromMonitor telemetry reads batched and
-// per-session monitors through one code path.
-type laneMargin struct {
-	m    laneMarginMonitor
-	lane int
-}
-
-// StreamVerdict implements marginMonitor for one lane.
-func (a laneMargin) StreamVerdict() (scs.StreamVerdict, bool) {
-	return a.m.StreamVerdictLane(a.lane)
 }
 
 // Platform couples a patient cohort with its controller. It is
@@ -732,7 +722,7 @@ func (e *engine) runShard(shard int) {
 		if laneMargins != nil {
 			// FromMonitor telemetry reads the shard's batched monitor at
 			// this session's lane.
-			s.margin = laneMargin{m: laneMargins, lane: lane}
+			s.margin = func() (scs.StreamVerdict, bool) { return laneMargins.StreamVerdictLane(lane) }
 		}
 		if sp.restore == nil {
 			e.emit(shard, Event{Kind: EventSessionStart, Session: s.Index, PatientIdx: s.PatientIdx, Replica: s.Replica, Group: s.group})
@@ -1052,7 +1042,7 @@ func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *sc
 	if bv != nil {
 		v = *bv
 	} else {
-		sv, ok := s.margin.StreamVerdict()
+		sv, ok := s.margin()
 		if !ok {
 			return fmt.Errorf("fleet: session %d: monitor produced no streaming verdict", s.Index)
 		}
@@ -1176,11 +1166,11 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 	if err != nil {
 		return nil, wrap(err)
 	}
-	var margin marginMonitor
+	var margin func() (scs.StreamVerdict, bool)
 	if t := cfg.Telemetry; t != nil && t.FromMonitor && nm != nil {
 		// One-evaluation invariant: telemetry reads the monitor's own
 		// streaming verdicts instead of attaching a second rule set. With
-		// a batched monitor the shard assigns the lane adapter after
+		// a batched monitor the shard assigns the lane reader after
 		// construction; without FromMonitor the shard evaluates telemetry
 		// batched across its whole live window.
 		mm, ok := mon.(marginMonitor)
@@ -1188,7 +1178,7 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 			return nil, wrap(fmt.Errorf(
 				"fleet: Telemetry.FromMonitor requires a margin-carrying monitor, got %T", mon))
 		}
-		margin = mm
+		margin = mm.StreamVerdict
 	}
 	if sp.restore != nil {
 		// Fast-forward the fresh stream to the captured draw position: no

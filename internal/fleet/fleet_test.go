@@ -328,11 +328,33 @@ func trainFleetMLP(t *testing.T, scenarios []fault.Program) *ml.MLP {
 	return mlp
 }
 
-// TestFleetBatchedMonitorMatchesPerSession runs the same fleet with a
-// per-session MLP monitor and with per-shard batched inference at
-// several parallelism levels; the traces must be identical (batched
-// inference is bit-exact, and the per-session monitors share one model
-// across shards, which must be safe).
+// scalarMLP is the test-side reference monitor: the MLP's scalar
+// PredictProba per cycle, the first most probable class deciding the
+// verdict (binary class 1 alarms H1) and its probability the confidence.
+type scalarMLP struct{ mlp *ml.MLP }
+
+func (m scalarMLP) Name() string { return "MLP" }
+func (m scalarMLP) Reset()       {}
+func (m scalarMLP) Step(obs monitor.Observation) monitor.Verdict {
+	proba := m.mlp.PredictProba(monitor.Features(obs))
+	class := 0
+	for i, p := range proba {
+		if p > proba[class] {
+			class = i
+		}
+	}
+	v := monitor.Verdict{Confidence: proba[class]}
+	if class != 0 {
+		v.Alarm, v.Hazard = true, trace.HazardH1
+	}
+	return v
+}
+
+// TestFleetBatchedMonitorMatchesPerSession runs the same mitigated fleet
+// with per-shard batched MLP inference, with per-session MLP monitors,
+// and with the scalar reference monitor, at several parallelism levels;
+// all traces must be identical (batched inference is bit-exact, and the
+// monitors share one model across shards, which must be safe).
 func TestFleetBatchedMonitorMatchesPerSession(t *testing.T) {
 	scenarios := thinScenarios(30)
 	mlp := trainFleetMLP(t, scenarios[:10])
@@ -345,10 +367,13 @@ func TestFleetBatchedMonitorMatchesPerSession(t *testing.T) {
 		Mitigate:  true,
 	}
 	for _, parallel := range []int{1, 2, 4} {
+		refCfg := base
+		refCfg.Parallel = parallel
+		refCfg.NewMonitor = func(int) (monitor.Monitor, error) { return scalarMLP{mlp}, nil }
 		perCfg := base
 		perCfg.Parallel = parallel
 		perCfg.NewMonitor = func(int) (monitor.Monitor, error) {
-			return monitor.NewMLMonitor("MLP", mlp)
+			return monitor.NewMLMonitor("MLP", mlp.NewBatch())
 		}
 		batchCfg := base
 		batchCfg.Parallel = parallel
@@ -356,22 +381,28 @@ func TestFleetBatchedMonitorMatchesPerSession(t *testing.T) {
 			return monitor.NewBatchML("MLP", mlp.NewBatch())
 		}
 
-		per, err := Run(context.Background(), perCfg)
+		ref, err := Run(context.Background(), refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := Run(context.Background(), batchCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if per.Alarmed == 0 {
+		if ref.Alarmed == 0 {
 			t.Fatal("monitor never alarmed — comparison is vacuous")
 		}
-		if !bytes.Equal(tracesCSV(t, per.Traces), tracesCSV(t, batch.Traces)) {
-			t.Fatalf("Parallel=%d: batched-inference traces differ from per-session traces", parallel)
-		}
-		if per.Alarmed != batch.Alarmed || per.Hazardous != batch.Hazardous {
-			t.Fatalf("Parallel=%d: counters differ: per %+v batch %+v", parallel, per, batch)
+		want := tracesCSV(t, ref.Traces)
+		for _, tc := range []struct {
+			shape string
+			cfg   Config
+		}{{"per-session", perCfg}, {"batched", batchCfg}} {
+			got, err := Run(context.Background(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(tracesCSV(t, got.Traces), want) {
+				t.Fatalf("Parallel=%d: %s traces differ from the scalar reference", parallel, tc.shape)
+			}
+			if got.Alarmed != ref.Alarmed || got.Hazardous != ref.Hazardous {
+				t.Fatalf("Parallel=%d: %s counters %+v, reference %+v", parallel, tc.shape, got, ref)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/closedloop"
 	"repro/internal/fault"
 	"repro/internal/monitor"
+	"repro/internal/scs"
 	"repro/internal/trace"
 )
 
@@ -44,7 +45,9 @@ type Session struct {
 	mon     monitor.Monitor
 	st      *closedloop.Stepper
 	alarmed bool
-	margin  marginMonitor // monitor-sourced telemetry (FromMonitor)
+	// margin reads the monitor-sourced telemetry verdict (FromMonitor):
+	// the session monitor's own, or its lane of the shard's batch.
+	margin func() (scs.StreamVerdict, bool)
 }
 
 // LastVerdict returns the monitor verdict of the most recently

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ml"
+	"repro/internal/snapshot"
 )
 
 // BatchMonitor evaluates one control cycle for many concurrent sessions
@@ -12,8 +13,9 @@ import (
 // state and scratch buffers: create one per fleet shard; the wrapped
 // model weights are shared and only read.
 //
-// Verdicts are identical to running the corresponding per-session
-// Monitor on each lane.
+// The per-session Monitor of each algorithm is a one-lane view of its
+// BatchMonitor, so per-lane verdicts equal per-session ones by
+// construction.
 type BatchMonitor interface {
 	Name() string
 	// ResetLanes prepares n independent session lanes, clearing any
@@ -26,19 +28,42 @@ type BatchMonitor interface {
 	StepBatch(lanes []int, obs []Observation, out []Verdict)
 }
 
-// featuresInto writes the Eq. 7 feature vector into dst (len FeatureDim).
-func featuresInto(dst []float64, obs Observation) {
-	dst[0] = obs.CGM
-	dst[1] = obs.BGPrime
-	dst[2] = obs.IOB
-	dst[3] = obs.IOBPrime
-	dst[4] = obs.Rate
-	dst[5] = float64(obs.Action)
+// laneView is the per-session face of a batched monitor: a Monitor
+// that runs lane 0 of its own one-lane batch. Reset resets the whole
+// batch (re-arming the context-aware recompile at the first observed
+// cycle length), and snapshots are lane 0's bytes.
+type laneView[B interface {
+	BatchMonitor
+	snapshot.LaneSnapshotter
+}] struct {
+	batch B
+	lane  [1]int // the one lane every step names
+	obs   [1]Observation
+	out   [1]Verdict
 }
 
+// Name implements Monitor.
+func (v *laneView[B]) Name() string { return v.batch.Name() }
+
+// Reset implements Monitor.
+func (v *laneView[B]) Reset() { v.batch.ResetLanes(1) }
+
+// Step implements Monitor.
+func (v *laneView[B]) Step(obs Observation) Verdict {
+	v.obs[0] = obs
+	v.batch.StepBatch(v.lane[:], v.obs[:], v.out[:])
+	return v.out[0]
+}
+
+// SnapshotState implements snapshot.Snapshotter: lane 0's bytes.
+func (v *laneView[B]) SnapshotState(enc *snapshot.Encoder) { v.batch.SnapshotLane(0, enc) }
+
+// RestoreState implements snapshot.Snapshotter.
+func (v *laneView[B]) RestoreState(dec *snapshot.Decoder) error { return v.batch.RestoreLane(0, dec) }
+
 // BatchML wraps a point-in-time batch classifier (DT, MLP) as a
-// BatchMonitor. It is stateless across cycles, so lanes only size the
-// scratch buffers.
+// BatchMonitor per Eq. 7. It is stateless across cycles, so lanes only
+// size the scratch buffers.
 type BatchML struct {
 	name  string
 	clf   ml.BatchClassifier
@@ -85,8 +110,8 @@ func (b *BatchML) StepBatch(lanes []int, obs []Observation, out []Verdict) {
 		return
 	}
 	b.ensure(n)
-	for k, o := range obs {
-		featuresInto(b.feats[k], o)
+	for k := range obs {
+		featuresInto(b.feats[k], &obs[k])
 	}
 	b.clf.PredictProbaBatchInto(b.feats[:n], b.proba)
 	classes := b.clf.Classes()
@@ -103,8 +128,8 @@ type seqLane struct {
 }
 
 // BatchSequence wraps a windowed batch classifier (LSTM) as a
-// BatchMonitor, keeping a sliding feature window per lane like
-// SequenceMonitor does per session.
+// BatchMonitor per Eq. 8, keeping a sliding window of the last k
+// feature vectors per lane; a lane stays silent until its window fills.
 type BatchSequence struct {
 	name   string
 	clf    ml.BatchSequenceClassifier
@@ -135,8 +160,15 @@ func NewBatchSequence(name string, clf ml.BatchSequenceClassifier, window int) (
 // Name implements BatchMonitor.
 func (b *BatchSequence) Name() string { return b.name }
 
-// ResetLanes implements BatchMonitor.
+// ResetLanes implements BatchMonitor. Resetting to the current width
+// only empties the windows.
 func (b *BatchSequence) ResetLanes(n int) {
+	if n == len(b.lanes) {
+		for i := range b.lanes {
+			b.ResetLane(i)
+		}
+		return
+	}
 	b.lanes = make([]seqLane, n)
 	for i := range b.lanes {
 		frames := make([][]float64, b.window)
@@ -159,11 +191,11 @@ func (b *BatchSequence) ResetLane(lane int) {
 }
 
 // StepBatch implements BatchMonitor. Lanes whose window has not filled
-// yet stay silent, matching SequenceMonitor.
+// yet stay silent.
 func (b *BatchSequence) StepBatch(lanes []int, obs []Observation, out []Verdict) {
 	b.wins = b.wins[:0]
 	b.ready = b.ready[:0]
-	for k, o := range obs {
+	for k := range obs {
 		l := &b.lanes[lanes[k]]
 		// Overwrite the oldest frame.
 		slot := (l.head + l.n) % b.window
@@ -173,7 +205,7 @@ func (b *BatchSequence) StepBatch(lanes []int, obs []Observation, out []Verdict)
 		} else {
 			l.n++
 		}
-		featuresInto(l.frames[slot], o)
+		featuresInto(l.frames[slot], &obs[k])
 		out[k] = Verdict{}
 		if l.n < b.window {
 			continue

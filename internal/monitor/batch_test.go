@@ -40,11 +40,35 @@ func trainSmallMLP(t *testing.T, rng *rand.Rand) *ml.MLP {
 	return m
 }
 
+// scalarVerdict is the test-side reference for an ML verdict: the first
+// most probable class decides alarm and hazard (binary class 1 and
+// multi-class 1 are H1, multi-class 2 is H2) and its probability is the
+// confidence.
+func scalarVerdict(proba []float64) Verdict {
+	class := 0
+	for i, p := range proba {
+		if p > proba[class] {
+			class = i
+		}
+	}
+	v := Verdict{Confidence: proba[class]}
+	switch {
+	case class == 1 || (class > 0 && len(proba) == 2):
+		v.Alarm, v.Hazard = true, trace.HazardH1
+	case class > 1:
+		v.Alarm, v.Hazard = true, trace.HazardH2
+	}
+	return v
+}
+
+// TestBatchMLMatchesPerSessionMonitor: the batched MLP monitor and its
+// per-session one-lane view must both reproduce the model's scalar
+// PredictProba exactly.
 func TestBatchMLMatchesPerSessionMonitor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mlp := trainSmallMLP(t, rng)
 
-	per, err := NewMLMonitor("MLP", mlp)
+	per, err := NewMLMonitor("MLP", mlp.NewBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +82,7 @@ func TestBatchMLMatchesPerSessionMonitor(t *testing.T) {
 	lanes := make([]int, lanesN)
 	obs := make([]Observation, lanesN)
 	out := make([]Verdict, lanesN)
+	alarms := 0
 	for step := 0; step < 20; step++ {
 		for k := range lanes {
 			lanes[k] = k
@@ -65,10 +90,20 @@ func TestBatchMLMatchesPerSessionMonitor(t *testing.T) {
 		}
 		batch.StepBatch(lanes, obs, out)
 		for k := range lanes {
-			if want := per.Step(obs[k]); out[k] != want {
-				t.Fatalf("step %d lane %d: batch %+v, per-session %+v", step, k, out[k], want)
+			want := scalarVerdict(mlp.PredictProba(Features(obs[k])))
+			if want.Alarm {
+				alarms++
+			}
+			if out[k] != want {
+				t.Fatalf("step %d lane %d: batch %+v, scalar %+v", step, k, out[k], want)
+			}
+			if got := per.Step(obs[k]); got != want {
+				t.Fatalf("step %d lane %d: per-session %+v, scalar %+v", step, k, got, want)
 			}
 		}
+	}
+	if alarms == 0 {
+		t.Fatal("model never alarmed — comparison is vacuous")
 	}
 }
 
@@ -105,8 +140,9 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 
 	const lanesN = 7
 	perLane := make([]*SequenceMonitor, lanesN)
+	windows := make([][][]float64, lanesN) // test-side sliding windows
 	for i := range perLane {
-		perLane[i], err = NewSequenceMonitor("LSTM", lstm, window)
+		perLane[i], err = NewSequenceMonitor("LSTM", lstm.NewBatch(), window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,6 +152,18 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch.ResetLanes(lanesN)
+	// expect slides lane k's window and scores it with the model's
+	// scalar PredictProba once full.
+	expect := func(k int, o Observation) Verdict {
+		windows[k] = append(windows[k], Features(o))
+		if len(windows[k]) > window {
+			windows[k] = windows[k][1:]
+		}
+		if len(windows[k]) < window {
+			return Verdict{}
+		}
+		return scalarVerdict(lstm.PredictProba(windows[k]))
+	}
 
 	// Lanes step at different cadences: lane k skips steps where
 	// (step+k)%3 == 0, so windows fill at different times.
@@ -137,8 +185,12 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 		out = out[:len(obs)]
 		batch.StepBatch(lanes, obs, out)
 		for i, k := range lanes {
-			if want := perLane[k].Step(obs[i]); out[i] != want {
-				t.Fatalf("step %d lane %d: batch %+v, per-session %+v", step, k, out[i], want)
+			want := expect(k, obs[i])
+			if out[i] != want {
+				t.Fatalf("step %d lane %d: batch %+v, scalar %+v", step, k, out[i], want)
+			}
+			if got := perLane[k].Step(obs[i]); got != want {
+				t.Fatalf("step %d lane %d: per-session %+v, scalar %+v", step, k, got, want)
 			}
 		}
 	}
@@ -146,14 +198,19 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 	// Resetting one lane restarts its window fill without touching others.
 	batch.ResetLane(2)
 	perLane[2].Reset()
+	windows[2] = nil
 	for step := 0; step < window+1; step++ {
 		o := randObs(rng)
 		lanes = append(lanes[:0], 2)
 		obs = append(obs[:0], o)
 		out = out[:1]
 		batch.StepBatch(lanes, obs, out)
-		if want := perLane[2].Step(o); out[0] != want {
-			t.Fatalf("post-reset step %d: batch %+v, per-session %+v", step, out[0], want)
+		want := expect(2, o)
+		if out[0] != want {
+			t.Fatalf("post-reset step %d: batch %+v, scalar %+v", step, out[0], want)
+		}
+		if got := perLane[2].Step(o); got != want {
+			t.Fatalf("post-reset step %d: per-session %+v, scalar %+v", step, got, want)
 		}
 	}
 }

@@ -1,12 +1,9 @@
 package monitor
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/scs"
-	"repro/internal/stl"
 )
 
 // DefaultCycleMin is the control-cycle length the rule streams compile
@@ -16,122 +13,34 @@ import (
 // length if it differs.
 const DefaultCycleMin = 5
 
-// ContextAware is the rule-based safety monitor of Section III: it
-// evaluates the Table I Safety Context Specification online each control
-// cycle and alarms when the issued action is unsafe in the current
-// context. With data-driven thresholds it is the paper's CAWT monitor;
-// with the generic defaults it is the CAWOT baseline.
+// ContextAware is the rule-based safety monitor of Section III for one
+// session: it evaluates the Table I Safety Context Specification online
+// each control cycle and alarms when the issued action is unsafe in the
+// current context. With data-driven thresholds it is the paper's CAWT
+// monitor; with the generic defaults it is the CAWOT baseline.
 //
-// The rules evaluate through one incremental scs.StreamSet — a
-// hash-consed streaming STL group in which shared subformulas evaluate
-// once per cycle — and the alarm, the signed robustness margin, and the
-// arg-min rule attribution of every verdict all come from that single
-// evaluation (no second per-cycle pass; the one-evaluation invariant the
-// differential tests pin against ContextAwareLegacy).
-type ContextAware struct {
-	name       string
-	rules      []scs.Rule
-	thresholds scs.Thresholds
-	params     scs.Params
-
-	dt      float64
-	streams *scs.StreamSet
-	last    scs.StreamVerdict
-	lastOK  bool
-
-	lastFired []int // rule IDs fired at the last step (diagnostics)
-}
-
-var _ Monitor = (*ContextAware)(nil)
+// It is a one-lane view of BatchContextAware: the alarm, signed
+// robustness margin, and arg-min rule attribution of every verdict come
+// from one incremental rule-stream evaluation (no second per-cycle
+// pass; the one-evaluation invariant the differential tests pin against
+// ContextAwareLegacy).
+type ContextAware struct{ laneView[*BatchContextAware] }
 
 // NewCAWT builds the context-aware monitor with learned thresholds.
 func NewCAWT(rules []scs.Rule, th scs.Thresholds, p scs.Params) (*ContextAware, error) {
-	return newContextAware("CAWT", rules, th, p)
+	return contextAwareView(NewBatchCAWT(rules, th, p))
 }
 
 // NewCAWOT builds the context-aware baseline with default thresholds.
 func NewCAWOT(rules []scs.Rule, p scs.Params) (*ContextAware, error) {
-	return newContextAware("CAWOT", rules, scs.Defaults(rules), p)
+	return contextAwareView(NewBatchCAWOT(rules, p))
 }
 
-func newContextAware(name string, rules []scs.Rule, th scs.Thresholds, p scs.Params) (*ContextAware, error) {
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("monitor: %s needs at least one rule", name)
-	}
-	for _, r := range rules {
-		if _, ok := th[r.ID]; !ok {
-			return nil, fmt.Errorf("monitor: %s missing threshold for rule %d", name, r.ID)
-		}
-	}
-	p = p.WithDefaults()
-	streams, err := scs.NewStreamSet(rules, th, p, DefaultCycleMin)
+func contextAwareView(b *BatchContextAware, err error) (*ContextAware, error) {
 	if err != nil {
-		return nil, fmt.Errorf("monitor: %s: %w", name, err)
+		return nil, err
 	}
-	return &ContextAware{
-		name:       name,
-		rules:      rules,
-		thresholds: th,
-		params:     p,
-		dt:         DefaultCycleMin,
-		streams:    streams,
-	}, nil
-}
-
-// Name implements Monitor.
-func (m *ContextAware) Name() string { return m.name }
-
-// Reset implements Monitor.
-func (m *ContextAware) Reset() {
-	m.streams.Reset()
-	m.last = scs.StreamVerdict{}
-	m.lastOK = false
-	m.lastFired = m.lastFired[:0]
-}
-
-// Step implements Monitor: push the cycle's context state through the
-// streaming rule set and read alarm, hazard, margin, and rule
-// attribution from the one incremental evaluation. The predicted hazard
-// is the class of the violated rules (H1 wins ties, being the acute
-// hazard).
-func (m *ContextAware) Step(obs Observation) Verdict {
-	if obs.CycleMin != m.dt && m.streams.Len() == 0 && stl.ValidatePeriod(obs.CycleMin) == nil {
-		// Recompile at the observed sampling period before any state
-		// accumulates. Table I bodies are sampling-period-free; this only
-		// matters for rule sets with temporal windows.
-		streams, err := scs.NewStreamSet(m.rules, m.thresholds, m.params, obs.CycleMin)
-		if err != nil {
-			// The rule set compiled at DefaultCycleMin; only a window
-			// spanning more samples than the engine buffers can fail at
-			// another valid period, which is a rule-set bug.
-			panic(fmt.Sprintf("monitor: %s recompile at dt=%v: %v", m.name, obs.CycleMin, err))
-		}
-		m.streams, m.dt = streams, obs.CycleMin
-	}
-	v, err := m.streams.Push(scs.State{
-		BG:       obs.CGM,
-		BGPrime:  obs.BGPrime,
-		IOB:      obs.IOB,
-		IOBPrime: obs.IOBPrime,
-		Action:   obs.Action,
-	})
-	if err != nil {
-		// The push vocabulary is fixed at construction; an error here is
-		// an engine bug, not an input condition.
-		panic(fmt.Sprintf("monitor: %s: %v", m.name, err))
-	}
-	m.last, m.lastOK = v, true
-	m.lastFired = append(m.lastFired[:0], m.streams.Fired()...)
-	if len(m.lastFired) > 1 {
-		sort.Ints(m.lastFired)
-	}
-	return Verdict{
-		Alarm:      !v.Sat,
-		Hazard:     v.Hazard,
-		Margin:     v.Margin,
-		Rule:       v.Rule,
-		Confidence: marginConfidence(v.Margin),
-	}
+	return &ContextAware{laneView[*BatchContextAware]{batch: b}}, nil
 }
 
 // marginConfidence squashes a signed robustness margin into [0, 1):
@@ -150,15 +59,11 @@ func marginConfidence(margin float64) float64 {
 // telemetry consumers that want the raw STL minimum alongside the
 // signed margin. The boolean is false before the first step.
 func (m *ContextAware) StreamVerdict() (scs.StreamVerdict, bool) {
-	return m.last, m.lastOK
+	return m.batch.StreamVerdictLane(0)
 }
 
 // FiredRules returns the rule IDs that fired at the last step.
-func (m *ContextAware) FiredRules() []int {
-	out := make([]int, len(m.lastFired))
-	copy(out, m.lastFired)
-	return out
-}
+func (m *ContextAware) FiredRules() []int { return m.batch.FiredRulesLane(0) }
 
 // Thresholds returns the monitor's threshold table.
-func (m *ContextAware) Thresholds() scs.Thresholds { return m.thresholds }
+func (m *ContextAware) Thresholds() scs.Thresholds { return m.batch.thresholds }

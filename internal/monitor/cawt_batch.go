@@ -8,15 +8,12 @@ import (
 	"repro/internal/stl"
 )
 
-// BatchContextAware is the context-aware monitor evaluated across a
-// whole fleet shard at once: one scs.BatchStreamSet holds every
-// session lane's rule-stream state in [lanes]-wide vectors, and a
-// single batched push per control cycle yields every lane's alarm,
-// hazard, signed margin, and rule attribution. Verdicts are
-// bit-identical to running one ContextAware per session (the batched
-// differential tests enforce exact equality), so a fleet can switch a
-// shard between per-session and batched evaluation without changing a
-// single trace — the same contract the batched ML monitors honor.
+// BatchContextAware is the context-aware monitor evaluated across any
+// number of session lanes at once: one scs.BatchStreamSet holds every
+// lane's rule-stream state in [lanes]-wide vectors, and a single
+// batched push per control cycle yields every lane's alarm, hazard,
+// signed margin, and rule attribution. A fleet shard runs one across
+// its live sessions; a per-session ContextAware is its one-lane view.
 //
 // It implements BatchMonitor for the fleet engine's per-shard batched
 // path and exposes per-lane streaming verdicts for FromMonitor
@@ -31,12 +28,17 @@ type BatchContextAware struct {
 	streams *scs.BatchStreamSet
 	width   int
 
-	last      []scs.StreamVerdict
-	lastOK    []bool
-	lastFired [][]int
+	lanes []cawtLane
 
 	states   []scs.State
 	verdicts []scs.StreamVerdict
+}
+
+// cawtLane is one lane's last streaming verdict and fired rules.
+type cawtLane struct {
+	last  scs.StreamVerdict
+	ok    bool // false before the lane's first step
+	fired []int
 }
 
 var _ BatchMonitor = (*BatchContextAware)(nil)
@@ -53,6 +55,9 @@ func NewBatchCAWOT(rules []scs.Rule, p scs.Params) (*BatchContextAware, error) {
 	return newBatchContextAware("CAWOT", rules, scs.Defaults(rules), p)
 }
 
+// newBatchContextAware validates the rule set and compiles it eagerly
+// at DefaultCycleMin with one lane, so a rule set that cannot compile
+// fails here rather than inside a fleet shard.
 func newBatchContextAware(name string, rules []scs.Rule, th scs.Thresholds, p scs.Params) (*BatchContextAware, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("monitor: %s needs at least one rule", name)
@@ -62,92 +67,118 @@ func newBatchContextAware(name string, rules []scs.Rule, th scs.Thresholds, p sc
 			return nil, fmt.Errorf("monitor: %s missing threshold for rule %d", name, r.ID)
 		}
 	}
-	return &BatchContextAware{
+	m := &BatchContextAware{
 		name:       name,
 		rules:      rules,
 		thresholds: th,
 		params:     p.WithDefaults(),
 		dt:         DefaultCycleMin,
-	}, nil
+		width:      1,
+	}
+	if err := m.compile(); err != nil {
+		return nil, fmt.Errorf("monitor: %s: %w", name, err)
+	}
+	m.allocLanes()
+	return m, nil
 }
 
 // Name implements BatchMonitor.
 func (m *BatchContextAware) Name() string { return m.name }
 
-// rebuild compiles the batched rule streams at the current width and
-// sampling period. Compilability was proven at construction inputs, so
-// a failure here is an engine bug.
-func (m *BatchContextAware) rebuild() {
+// compile builds the batched rule streams at the current width and
+// sampling period.
+func (m *BatchContextAware) compile() error {
 	streams, err := scs.NewBatchStreamSet(m.rules, m.thresholds, m.params, m.dt, m.width)
 	if err != nil {
-		panic(fmt.Sprintf("monitor: %s batch compile at dt=%v width=%d: %v", m.name, m.dt, m.width, err))
+		return err
 	}
 	m.streams = streams
+	return nil
+}
+
+// rebuild recompiles after a width or sampling-period change. The rule
+// set compiled at construction, so a failure here is an engine bug.
+func (m *BatchContextAware) rebuild() {
+	if err := m.compile(); err != nil {
+		panic(fmt.Sprintf("monitor: %s batch compile at dt=%v width=%d: %v", m.name, m.dt, m.width, err))
+	}
+}
+
+// allocLanes sizes the per-lane verdict state and push scratch to the
+// current width.
+func (m *BatchContextAware) allocLanes() {
+	m.lanes = make([]cawtLane, m.width)
+	m.states = make([]scs.State, m.width)
+	m.verdicts = make([]scs.StreamVerdict, m.width)
 }
 
 // ResetLanes implements BatchMonitor: prepare n independent session
-// lanes, clearing any per-lane rule-stream state.
+// lanes, clearing every lane's rule-stream state. With no lane holding
+// state, the next step recompiles at its observed cycle length.
 func (m *BatchContextAware) ResetLanes(n int) {
-	if n != m.width || m.streams == nil {
+	if n != m.width {
 		m.width = n
 		m.rebuild()
-	} else {
-		m.streams.Reset()
+		m.allocLanes()
+		return
 	}
-	m.last = make([]scs.StreamVerdict, n)
-	m.lastOK = make([]bool, n)
-	m.lastFired = make([][]int, n)
-	m.states = make([]scs.State, 0, n)
-	m.verdicts = make([]scs.StreamVerdict, n)
+	m.streams.Reset()
+	for lane := range m.lanes {
+		m.clearLane(lane)
+	}
 }
 
 // ResetLane implements BatchMonitor: clear one lane's rule-stream state
 // (a session restarting in place).
 func (m *BatchContextAware) ResetLane(lane int) {
 	m.streams.ResetLane(lane)
-	m.last[lane] = scs.StreamVerdict{}
-	m.lastOK[lane] = false
-	m.lastFired[lane] = m.lastFired[lane][:0]
+	m.clearLane(lane)
+}
+
+// clearLane forgets one lane's last verdict and fired rules.
+func (m *BatchContextAware) clearLane(lane int) {
+	l := &m.lanes[lane]
+	l.last, l.ok, l.fired = scs.StreamVerdict{}, false, l.fired[:0]
 }
 
 // StepBatch implements BatchMonitor: one batched rule-stream push
-// evaluates every lane's cycle, and each verdict is derived from the
-// lane's StreamVerdict exactly as ContextAware.Step derives its own.
+// evaluates every lane's cycle. The predicted hazard is the class of
+// the violated rules (H1 wins ties, being the acute hazard).
 func (m *BatchContextAware) StepBatch(lanes []int, obs []Observation, out []Verdict) {
 	n := len(obs)
 	if n == 0 {
 		return
 	}
-	if len(obs) > 0 && obs[0].CycleMin != m.dt && m.streams.Len() == 0 && stl.ValidatePeriod(obs[0].CycleMin) == nil {
-		// Recompile at the observed sampling period before any state
-		// accumulates, mirroring ContextAware.Step. Table I bodies are
-		// sampling-period-free; this only matters for rule sets with
-		// temporal windows.
+	if obs[0].CycleMin != m.dt && stl.ValidatePeriod(obs[0].CycleMin) == nil && !m.liveLane(-1) {
+		// Recompile at the observed sampling period while no lane holds
+		// state. Table I bodies are sampling-period-free; this only
+		// matters for rule sets with temporal windows.
 		m.dt = obs[0].CycleMin
 		m.rebuild()
 	}
-	m.states = m.states[:0]
-	for _, o := range obs {
-		m.states = append(m.states, scs.State{
+	states := m.states[:n]
+	for k := range obs {
+		o := &obs[k]
+		states[k] = scs.State{
 			BG:       o.CGM,
 			BGPrime:  o.BGPrime,
 			IOB:      o.IOB,
 			IOBPrime: o.IOBPrime,
 			Action:   o.Action,
-		})
+		}
 	}
-	if err := m.streams.PushLanes(lanes, m.states, m.verdicts[:n]); err != nil {
+	if err := m.streams.PushLanes(lanes, states, m.verdicts[:n]); err != nil {
 		// The push vocabulary and lane range are fixed by the engine; an
 		// error here is an engine bug, not an input condition.
 		panic(fmt.Sprintf("monitor: %s: %v", m.name, err))
 	}
-	for k := 0; k < n; k++ {
-		v := m.verdicts[k]
-		lane := lanes[k]
-		m.last[lane], m.lastOK[lane] = v, true
-		m.lastFired[lane] = append(m.lastFired[lane][:0], m.streams.Fired(k)...)
-		if len(m.lastFired[lane]) > 1 {
-			sort.Ints(m.lastFired[lane])
+	for k, lane := range lanes[:n] {
+		v := &m.verdicts[k]
+		l := &m.lanes[lane]
+		l.last, l.ok = *v, true
+		l.fired = append(l.fired[:0], m.streams.Fired(k)...)
+		if len(l.fired) > 1 {
+			sort.Ints(l.fired)
 		}
 		out[k] = Verdict{
 			Alarm:      !v.Sat,
@@ -159,20 +190,29 @@ func (m *BatchContextAware) StepBatch(lanes []int, obs []Observation, out []Verd
 	}
 }
 
+// liveLane reports whether any lane other than except holds rule-stream
+// state; those lanes pin the compiled sampling period.
+func (m *BatchContextAware) liveLane(except int) bool {
+	for lane := 0; lane < m.width; lane++ {
+		if lane != except && m.streams.LaneLen(lane) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // StreamVerdictLane returns the full streaming verdict of one lane's
 // last step — the same single evaluation its Verdict was derived from —
 // for FromMonitor telemetry. The boolean is false before the lane's
 // first step (or after a lane reset).
 func (m *BatchContextAware) StreamVerdictLane(lane int) (scs.StreamVerdict, bool) {
-	return m.last[lane], m.lastOK[lane]
+	return m.lanes[lane].last, m.lanes[lane].ok
 }
 
 // FiredRulesLane returns the rule IDs that fired at one lane's last
 // step, ascending.
 func (m *BatchContextAware) FiredRulesLane(lane int) []int {
-	out := make([]int, len(m.lastFired[lane]))
-	copy(out, m.lastFired[lane])
-	return out
+	return append([]int(nil), m.lanes[lane].fired...)
 }
 
 // Thresholds returns the monitor's threshold table.

@@ -1,10 +1,13 @@
 package monitor
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/scs"
+	"repro/internal/stl"
 	"repro/internal/trace"
 )
 
@@ -25,9 +28,112 @@ func randCAWTObs(rng *rand.Rand, step int) Observation {
 	return o
 }
 
-// TestBatchCAWTMatchesPerSession: the shard-batched context-aware
-// monitor must produce verdicts, streaming verdicts, and fired-rule
-// diagnostics exactly equal to one per-session ContextAware per lane,
+// cawtOracle is one lane's independent reference for the context-aware
+// monitor: the eager ContextAwareLegacy evaluator for alarm, hazard and
+// fired rules, and the offline STL semantics of the rule bodies over the
+// lane's own samples for the streaming verdict (robustness minimum,
+// signed margin and their rules).
+type cawtOracle struct {
+	rules  []scs.Rule
+	th     scs.Thresholds
+	legacy *ContextAwareLegacy
+	tr     *stl.Trace
+}
+
+func newCAWTOracle(t *testing.T, rules []scs.Rule, th scs.Thresholds) *cawtOracle {
+	t.Helper()
+	legacy, err := NewContextAwareLegacy("oracle", rules, th, scs.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &cawtOracle{rules: rules, th: th, legacy: legacy}
+	o.reset(t)
+	return o
+}
+
+func (o *cawtOracle) reset(t *testing.T) {
+	t.Helper()
+	tr, err := stl.NewTrace(DefaultCycleMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.tr = tr
+	o.legacy.Reset()
+}
+
+// step returns the expected verdict, streaming verdict and fired rules
+// of one observation.
+func (o *cawtOracle) step(t *testing.T, obs Observation) (Verdict, scs.StreamVerdict, []int) {
+	t.Helper()
+	o.tr.Append(map[string]float64{
+		"BG": obs.CGM, "BG'": obs.BGPrime, "IOB": obs.IOB, "IOB'": obs.IOBPrime,
+		"u": float64(obs.Action),
+	})
+	i := o.tr.Len() - 1
+	sv := scs.StreamVerdict{Sat: true, MinRobust: math.Inf(1)}
+	worst := math.Inf(1)
+	for _, r := range o.rules {
+		body := r.STL(scs.Params{}, o.th[r.ID])
+		sat, err := body.Sat(o.tr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rob, err := body.Robustness(o.tr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rob < sv.MinRobust {
+			sv.MinRobust, sv.WorstRule = rob, r.ID
+		}
+		if sat {
+			continue
+		}
+		sv.Sat = false
+		ante, err := r.Antecedent(scs.Params{}, o.th[r.ID]).Robustness(o.tr, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if -ante < worst {
+			worst, sv.Rule = -ante, r.ID
+		}
+	}
+	legacy := o.legacy.Step(obs)
+	if sv.Sat {
+		sv.Margin, sv.Rule = sv.MinRobust, sv.WorstRule
+	} else {
+		sv.Margin, sv.Hazard = worst, legacy.Hazard
+	}
+	m := math.Abs(sv.Margin)
+	return Verdict{
+		Alarm: legacy.Alarm, Hazard: legacy.Hazard,
+		Margin: sv.Margin, Rule: sv.Rule, Confidence: m / (1 + m),
+	}, sv, o.legacy.FiredRules()
+}
+
+// randOracleObs is randCAWTObs that also lands exactly on decision
+// boundaries — BGT, the derivative tolerance bands and the learnable
+// thresholds — so a strict comparison turned non-strict shows.
+func randOracleObs(rng *rand.Rand, step int, th scs.Thresholds) Observation {
+	o := randCAWTObs(rng, step)
+	switch rng.Intn(6) {
+	case 0:
+		o.CGM = scs.DefaultBGT
+	case 1:
+		o.BGPrime = scs.DefaultBGDerivEps * float64(1-2*rng.Intn(2))
+		o.IOBPrime = scs.DefaultIOBDerivEps * float64(1-2*rng.Intn(2))
+	case 2:
+		if id := 1 + rng.Intn(len(th)); id == 10 {
+			o.CGM = th[id] // rule 10 learns a BG threshold
+		} else {
+			o.IOB = th[id]
+		}
+	}
+	return o
+}
+
+// TestBatchCAWTMatchesPerSession: the batched context-aware monitor and
+// its per-session one-lane view must reproduce the independent oracle
+// exactly — verdicts, streaming verdicts and fired-rule diagnostics —
 // across randomized observation streams, active-lane subsets, staggered
 // lane resets, and both threshold modes (CAWT learned / CAWOT default).
 func TestBatchCAWTMatchesPerSession(t *testing.T) {
@@ -40,26 +146,28 @@ func TestBatchCAWTMatchesPerSession(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		width := 1 + rng.Intn(6)
+		th := scs.Defaults(rules)
 		var batch *BatchContextAware
-		newRef := func() (Monitor, error) { return NewCAWOT(rules, scs.Params{}) }
+		newView := func() (*ContextAware, error) { return NewCAWOT(rules, scs.Params{}) }
 		var err error
 		if trial%2 == 0 {
 			batch, err = NewBatchCAWOT(rules, scs.Params{})
 		} else {
+			th = learned
 			batch, err = NewBatchCAWT(rules, learned, scs.Params{})
-			newRef = func() (Monitor, error) { return NewCAWT(rules, learned, scs.Params{}) }
+			newView = func() (*ContextAware, error) { return NewCAWT(rules, learned, scs.Params{}) }
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch.ResetLanes(width)
-		refs := make([]*ContextAware, width)
-		for lane := range refs {
-			m, err := newRef()
-			if err != nil {
+		views := make([]*ContextAware, width)
+		oracles := make([]*cawtOracle, width)
+		for lane := range views {
+			if views[lane], err = newView(); err != nil {
 				t.Fatal(err)
 			}
-			refs[lane] = m.(*ContextAware)
+			oracles[lane] = newCAWTOracle(t, rules, th)
 		}
 
 		lanes := make([]int, 0, width)
@@ -71,14 +179,15 @@ func TestBatchCAWTMatchesPerSession(t *testing.T) {
 			if rng.Intn(12) == 0 {
 				lane := rng.Intn(width)
 				batch.ResetLane(lane)
-				refs[lane].Reset()
+				views[lane].Reset()
+				oracles[lane].reset(t)
 				laneStep[lane] = 0
 			}
 			lanes, obs = lanes[:0], obs[:0]
 			for lane := 0; lane < width; lane++ {
 				if rng.Intn(4) > 0 {
 					lanes = append(lanes, lane)
-					obs = append(obs, randCAWTObs(rng, laneStep[lane]))
+					obs = append(obs, randOracleObs(rng, laneStep[lane], th))
 					laneStep[lane]++
 				}
 			}
@@ -87,27 +196,32 @@ func TestBatchCAWTMatchesPerSession(t *testing.T) {
 			}
 			batch.StepBatch(lanes, obs, out)
 			for k, lane := range lanes {
-				want := refs[lane].Step(obs[k])
-				if out[k] != want {
-					t.Fatalf("trial %d step %d lane %d: batched %+v, per-session %+v",
-						trial, step, lane, out[k], want)
-				}
+				want, wantSV, wantFired := oracles[lane].step(t, obs[k])
 				if want.Alarm {
 					alarms++
 				}
-				gotSV, gotOK := batch.StreamVerdictLane(lane)
-				wantSV, wantOK := refs[lane].StreamVerdict()
-				if gotOK != wantOK || gotSV != wantSV {
-					t.Fatalf("trial %d step %d lane %d: stream verdict (%+v, %v) vs (%+v, %v)",
-						trial, step, lane, gotSV, gotOK, wantSV, wantOK)
-				}
-				gotFired, wantFired := batch.FiredRulesLane(lane), refs[lane].FiredRules()
-				if len(gotFired) != len(wantFired) {
-					t.Fatalf("trial %d step %d lane %d: fired %v vs %v", trial, step, lane, gotFired, wantFired)
-				}
-				for i := range gotFired {
-					if gotFired[i] != wantFired[i] {
-						t.Fatalf("trial %d step %d lane %d: fired %v vs %v", trial, step, lane, gotFired, wantFired)
+				gotView := views[lane].Step(obs[k])
+				viewSV, viewOK := views[lane].StreamVerdict()
+				batchSV, batchOK := batch.StreamVerdictLane(lane)
+				for _, got := range []struct {
+					shape string
+					v     Verdict
+					sv    scs.StreamVerdict
+					ok    bool
+					fired []int
+				}{
+					{"batched", out[k], batchSV, batchOK, batch.FiredRulesLane(lane)},
+					{"per-session", gotView, viewSV, viewOK, views[lane].FiredRules()},
+				} {
+					if got.v != want {
+						t.Fatalf("trial %d step %d lane %d: %s %+v, oracle %+v", trial, step, lane, got.shape, got.v, want)
+					}
+					if !got.ok || got.sv != wantSV {
+						t.Fatalf("trial %d step %d lane %d: %s stream verdict (%+v, %v), oracle %+v",
+							trial, step, lane, got.shape, got.sv, got.ok, wantSV)
+					}
+					if !slices.Equal(got.fired, wantFired) {
+						t.Fatalf("trial %d step %d lane %d: %s fired %v, oracle %v", trial, step, lane, got.shape, got.fired, wantFired)
 					}
 				}
 			}
@@ -118,9 +232,10 @@ func TestBatchCAWTMatchesPerSession(t *testing.T) {
 	}
 }
 
-// TestBatchCAWTRecompilesAtObservedCycle: like ContextAware, the
-// batched monitor recompiles its rule streams when the first observed
-// cycle length differs from the construction default.
+// TestBatchCAWTRecompilesAtObservedCycle: the batched monitor
+// recompiles its rule streams when the first observed cycle length
+// differs from the construction default, and a lane of that batch
+// matches a per-session monitor observing the same cycle length.
 func TestBatchCAWTRecompilesAtObservedCycle(t *testing.T) {
 	rules := scs.TableI()
 	batch, err := NewBatchCAWOT(rules, scs.Params{})

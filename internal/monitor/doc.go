@@ -10,25 +10,29 @@
 //
 // # Per-session and batched evaluation
 //
-// Monitors come in two execution shapes with one correctness contract:
+// Each learned or rule-based monitor has one implementation, a
+// BatchMonitor (StepBatch) that evaluates many session lanes in one
+// call: BatchContextAware pushes every lane's rule streams through one
+// struct-of-arrays evaluation, and BatchML / BatchSequence run batched
+// DT/MLP/LSTM inference that amortizes model weight traffic. A fleet
+// shard runs one instance across its live sessions.
 //
-//   - Monitor (Step): one session, one observation, one Verdict per
-//     control cycle.
-//   - BatchMonitor (StepBatch): one instance per fleet shard evaluates
-//     every live session's cycle in a single call — batched DT/MLP/LSTM
-//     inference (BatchML, BatchSequence) amortizes model weight
-//     traffic, and the shard-batched context-aware monitor
-//     (BatchContextAware) evaluates the whole shard's rule streams in
-//     one struct-of-arrays push.
-//
-// The batching invariant: StepBatch verdicts are bit-identical to
-// running the corresponding per-session Monitor on each lane — same
-// alarms, hazards, margins, rule attributions, and confidences — so a
-// fleet can switch between shapes without changing a single trace
-// (TestFleetBatchedMonitorMatchesPerSession,
-// TestBatchCAWTMatchesPerSession). Per-session ML monitors built over
-// one trained model share it across fleet shards; the models' inference
-// is re-entrant (per-call scratch), so that sharing is safe.
+// The per-session Monitor (Step) of each of these algorithms —
+// ContextAware (NewCAWT, NewCAWOT), MLMonitor and SequenceMonitor — is
+// a one-lane view of its batched twin: Step is StepBatch on lane 0,
+// Reset resets the batch, and snapshots are lane 0's bytes. Per-session
+// and batched verdicts and snapshot bytes are therefore equal by
+// construction, and the tests compare both shapes against independent
+// oracles instead of against each other: the eager ContextAwareLegacy
+// and the offline STL semantics of the rule bodies for the
+// context-aware monitor (TestBatchCAWTMatchesPerSession,
+// TestStreamingCAWTMatchesLegacyDifferential), and the models' scalar
+// PredictProba with a test-side sliding window for the ML monitors
+// (TestBatchMLMatchesPerSessionMonitor,
+// TestBatchSequenceMatchesPerSessionMonitor,
+// TestFleetBatchedMonitorMatchesPerSession). Guideline and MPC have no
+// batched twin. Trained model weights are shared read-only; each
+// monitor owns its inference scratch.
 //
 // The one-evaluation invariant: the streaming context-aware monitors
 // own exactly one rule-stream evaluation per cycle, and alarm, hazard

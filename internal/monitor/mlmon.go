@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"fmt"
-
 	"repro/internal/ml"
 	"repro/internal/trace"
 )
@@ -10,30 +8,23 @@ import (
 // Features extracts the ML feature vector of Eq. 7 from an observation:
 // the observable state xt plus the issued control action ut.
 func Features(obs Observation) []float64 {
-	return []float64{
-		obs.CGM,
-		obs.BGPrime,
-		obs.IOB,
-		obs.IOBPrime,
-		obs.Rate,
-		float64(obs.Action),
-	}
+	f := make([]float64, FeatureDim)
+	featuresInto(f, &obs)
+	return f
 }
 
 // FeatureDim is the length of the Features vector.
 const FeatureDim = 6
 
-// FeaturesFromSample extracts the same features from a recorded sample
-// (for training-set construction).
-func FeaturesFromSample(s *trace.Sample) []float64 {
-	return []float64{
-		s.CGM,
-		s.BGPrime,
-		s.IOB,
-		s.IOBPrime,
-		s.Rate,
-		float64(s.Action),
-	}
+// featuresInto writes the Eq. 7 feature vector into dst (len
+// FeatureDim): the one feature writer behind monitoring and training.
+func featuresInto(dst []float64, obs *Observation) {
+	dst[0] = obs.CGM
+	dst[1] = obs.BGPrime
+	dst[2] = obs.IOB
+	dst[3] = obs.IOBPrime
+	dst[4] = obs.Rate
+	dst[5] = float64(obs.Action)
 }
 
 // classToHazard maps a classifier output to a hazard verdict. Binary
@@ -69,75 +60,37 @@ func probaToVerdict(proba []float64, classes int) Verdict {
 	return v
 }
 
-// MLMonitor wraps a point-in-time classifier (DT, MLP) as a safety
-// monitor per Eq. 7.
-type MLMonitor struct {
-	name string
-	clf  ml.Classifier
+// MLMonitor is the per-session point-in-time ML monitor (DT, MLP) of
+// Eq. 7: a one-lane view of BatchML.
+type MLMonitor struct{ laneView[*BatchML] }
+
+// NewMLMonitor wraps a trained batch classifier. The monitor owns the
+// classifier's scratch, so give each monitor its own (an ml.MLP's
+// NewBatch; an ml.Tree is pure and may be shared).
+func NewMLMonitor(name string, clf ml.BatchClassifier) (*MLMonitor, error) {
+	b, err := NewBatchML(name, clf)
+	if err != nil {
+		return nil, err
+	}
+	b.ResetLanes(1)
+	return &MLMonitor{laneView[*BatchML]{batch: b}}, nil
 }
 
-var _ Monitor = (*MLMonitor)(nil)
+// SequenceMonitor is the per-session windowed ML monitor (LSTM) of
+// Eq. 8: a one-lane view of BatchSequence, silent until its window of
+// the last k observations fills.
+type SequenceMonitor struct{ laneView[*BatchSequence] }
 
-// NewMLMonitor wraps a trained classifier.
-func NewMLMonitor(name string, clf ml.Classifier) (*MLMonitor, error) {
-	if clf == nil {
-		return nil, fmt.Errorf("monitor: nil classifier")
+// NewSequenceMonitor wraps a trained batch sequence classifier with
+// window k. The monitor owns the classifier's scratch, so give each
+// monitor its own (an ml.LSTM's NewBatch).
+func NewSequenceMonitor(name string, clf ml.BatchSequenceClassifier, window int) (*SequenceMonitor, error) {
+	b, err := NewBatchSequence(name, clf, window)
+	if err != nil {
+		return nil, err
 	}
-	return &MLMonitor{name: name, clf: clf}, nil
-}
-
-// Name implements Monitor.
-func (m *MLMonitor) Name() string { return m.name }
-
-// Reset implements Monitor.
-func (m *MLMonitor) Reset() {}
-
-// Step implements Monitor. The verdict carries the predicted class's
-// probability as Confidence, from the same single forward pass that
-// decides the alarm.
-func (m *MLMonitor) Step(obs Observation) Verdict {
-	return probaToVerdict(m.clf.PredictProba(Features(obs)), m.clf.Classes())
-}
-
-// SequenceMonitor wraps a windowed classifier (LSTM) as a safety monitor
-// per Eq. 8: it maintains a sliding window of the last k observations
-// and stays silent until the window fills.
-type SequenceMonitor struct {
-	name   string
-	clf    ml.SequenceClassifier
-	window int
-	buf    [][]float64
-}
-
-var _ Monitor = (*SequenceMonitor)(nil)
-
-// NewSequenceMonitor wraps a trained sequence classifier with window k.
-func NewSequenceMonitor(name string, clf ml.SequenceClassifier, window int) (*SequenceMonitor, error) {
-	if clf == nil {
-		return nil, fmt.Errorf("monitor: nil sequence classifier")
-	}
-	if window <= 0 {
-		return nil, fmt.Errorf("monitor: invalid window %d", window)
-	}
-	return &SequenceMonitor{name: name, clf: clf, window: window}, nil
-}
-
-// Name implements Monitor.
-func (m *SequenceMonitor) Name() string { return m.name }
-
-// Reset implements Monitor.
-func (m *SequenceMonitor) Reset() { m.buf = m.buf[:0] }
-
-// Step implements Monitor.
-func (m *SequenceMonitor) Step(obs Observation) Verdict {
-	m.buf = append(m.buf, Features(obs))
-	if len(m.buf) > m.window {
-		m.buf = m.buf[1:]
-	}
-	if len(m.buf) < m.window {
-		return Verdict{}
-	}
-	return probaToVerdict(m.clf.PredictProba(m.buf), m.clf.Classes())
+	b.ResetLanes(1)
+	return &SequenceMonitor{laneView[*BatchSequence]{batch: b}}, nil
 }
 
 // TrainingData assembles point-in-time training matrices from labeled
@@ -158,7 +111,7 @@ func TrainingData(traces []*trace.Trace, multiClass bool) (X [][]float64, y []in
 					label = 1
 				}
 			}
-			X = append(X, FeaturesFromSample(s))
+			X = append(X, Features(sampleObservation(s)))
 			y = append(y, label)
 		}
 	}
@@ -172,7 +125,7 @@ func SequenceTrainingData(traces []*trace.Trace, window int, multiClass bool) (X
 		for end := window; end <= tr.Len(); end++ {
 			win := make([][]float64, window)
 			for k := 0; k < window; k++ {
-				win[k] = FeaturesFromSample(&tr.Samples[end-window+k])
+				win[k] = Features(sampleObservation(&tr.Samples[end-window+k]))
 			}
 			label := 0
 			if anyHazardAtOrAfter(tr, tr.Samples[end-1].Step) {

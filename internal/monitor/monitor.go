@@ -52,15 +52,23 @@ func Replay(m Monitor, tr *trace.Trace) []Verdict {
 	prevRate := tr.Basal
 	for i := range tr.Samples {
 		s := &tr.Samples[i]
-		out[i] = m.Step(Observation{
-			Step: s.Step, TimeMin: s.TimeMin, CycleMin: tr.CycleMin,
-			CGM: s.CGM, BGPrime: s.BGPrime, IOB: s.IOB, IOBPrime: s.IOBPrime,
-			Rate: s.Rate, PrevRate: prevRate, Action: s.Action,
-			Basal: tr.Basal,
-		})
+		obs := sampleObservation(s)
+		obs.CycleMin, obs.PrevRate, obs.Basal = tr.CycleMin, prevRate, tr.Basal
+		out[i] = m.Step(obs)
 		prevRate = s.Delivered
 	}
 	return out
+}
+
+// sampleObservation is the part of an observation a recorded sample
+// carries; the loop context (cycle length, previous rate, basal) is the
+// caller's to fill.
+func sampleObservation(s *trace.Sample) Observation {
+	return Observation{
+		Step: s.Step, TimeMin: s.TimeMin,
+		CGM: s.CGM, BGPrime: s.BGPrime, IOB: s.IOB, IOBPrime: s.IOBPrime,
+		Rate: s.Rate, Action: s.Action,
+	}
 }
 
 // Annotate writes a monitor's replayed verdicts into the trace samples.

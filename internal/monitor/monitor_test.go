@@ -28,6 +28,17 @@ func TestCAWTConstructionValidation(t *testing.T) {
 	if _, err := NewCAWT(rules, th, scs.Params{}); err == nil {
 		t.Error("missing threshold should fail")
 	}
+
+	// A rule set that cannot compile fails at construction in both
+	// shapes, not later inside a fleet shard.
+	hazardless := scs.TableI()
+	hazardless[0].Hazard = trace.HazardNone
+	if _, err := NewCAWOT(hazardless, scs.Params{}); err == nil {
+		t.Error("per-session: hazard-less rule should fail")
+	}
+	if _, err := NewBatchCAWOT(hazardless, scs.Params{}); err == nil {
+		t.Error("batched: hazard-less rule should fail")
+	}
 }
 
 func TestCAWTFiresOnRule1Context(t *testing.T) {
@@ -287,7 +298,7 @@ func TestSequenceMonitorWindowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewSequenceMonitor("LSTM", lstm, 6)
+	m, err := NewSequenceMonitor("LSTM", lstm.NewBatch(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +314,10 @@ func TestSequenceMonitorWindowing(t *testing.T) {
 		t.Error("rising window should alarm")
 	}
 	m.Reset()
-	if len(m.buf) != 0 {
+	if m.batch.lanes[0].n != 0 {
 		t.Error("Reset should clear the window")
 	}
-	if _, err := NewSequenceMonitor("x", lstm, 0); err == nil {
+	if _, err := NewSequenceMonitor("x", lstm.NewBatch(), 0); err == nil {
 		t.Error("bad window should fail")
 	}
 }

@@ -49,8 +49,8 @@ func TestContextAwareRestoreRejectsForgedPeriod(t *testing.T) {
 		if err := m.RestoreState(snapshot.NewDecoder(data)); err == nil {
 			t.Errorf("dt=%v: forged snapshot restored", dt)
 		}
-		if m.dt != 5 || m.streams.Len() != 1 {
-			t.Errorf("dt=%v: rejected restore changed the monitor: dt %v, %d samples", dt, m.dt, m.streams.Len())
+		if m.batch.dt != 5 || m.batch.streams.Len() != 1 {
+			t.Errorf("dt=%v: rejected restore changed the monitor: dt %v, %d samples", dt, m.batch.dt, m.batch.streams.Len())
 		}
 		m.Step(snapshotObs)
 	}
@@ -94,8 +94,8 @@ func TestContextAwareIgnoresInvalidObservedCycle(t *testing.T) {
 		obs := snapshotObs
 		obs.CycleMin = dt
 		m.Step(obs)
-		if m.dt != DefaultCycleMin {
-			t.Errorf("cycle %v: monitor recompiled at %v", dt, m.dt)
+		if m.batch.dt != DefaultCycleMin {
+			t.Errorf("cycle %v: monitor recompiled at %v", dt, m.batch.dt)
 		}
 	}
 }
@@ -133,7 +133,7 @@ func TestPerSessionSnapshotDigests(t *testing.T) {
 
 	const window = 4
 	lstm := trainSmallLSTM(t, rng, window)
-	seq, err := NewSequenceMonitor("LSTM", lstm, window)
+	seq, err := NewSequenceMonitor("LSTM", lstm.NewBatch(), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestPerSessionSnapshotDigests(t *testing.T) {
 	}
 	for _, clf := range []struct {
 		name string
-		clf  ml.Classifier
-	}{{"DT", tree}, {"MLP", mlp}} {
+		clf  ml.BatchClassifier
+	}{{"DT", tree}, {"MLP", mlp.NewBatch()}} {
 		m, err := NewMLMonitor(clf.name, clf.clf)
 		if err != nil {
 			t.Fatal(err)
@@ -205,5 +205,58 @@ func TestCAWTRestoreRecompilesAtSnapshotPeriod(t *testing.T) {
 		if got, want := dst.Step(o), src.Step(o); got != want {
 			t.Fatalf("step %d: restored %+v, source %+v", step, got, want)
 		}
+	}
+}
+
+// TestCAWTRestoreEmptySnapshotRearmsRecompile: restoring a snapshot
+// taken before any step leaves the monitor without rule-stream state,
+// so, as after Reset, its next step recompiles at the observed cycle
+// length.
+func TestCAWTRestoreEmptySnapshotRearmsRecompile(t *testing.T) {
+	fresh, err := NewCAWOT(scs.TableI(), scs.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewCAWOT(scs.TableI(), scs.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Step(snapshotObs)
+	enc := snapshot.NewEncoder()
+	fresh.SnapshotState(enc)
+	if err := m.RestoreState(snapshot.NewDecoder(enc.Payload())); err != nil {
+		t.Fatal(err)
+	}
+	obs := snapshotObs
+	obs.CycleMin = 1
+	m.Step(obs)
+	fresh.Step(obs)
+	if got, want := snapshotDigest(m.SnapshotState), snapshotDigest(fresh.SnapshotState); got != want {
+		t.Fatal("restored empty monitor did not recompile at the observed cycle length like a fresh one")
+	}
+}
+
+// TestSequenceRestoreRejectsTruncatedWindow: a truncated window snapshot
+// fails the restore and leaves the monitor's window as it was.
+func TestSequenceRestoreRejectsTruncatedWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const window = 4
+	lstm := trainSmallLSTM(t, rng, window)
+	m, err := NewSequenceMonitor("LSTM", lstm.NewBatch(), window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		m.Step(randObs(rng))
+	}
+	before := snapshotDigest(m.SnapshotState)
+	enc := snapshot.NewEncoder()
+	m.SnapshotState(enc)
+	data := enc.Payload()
+	if err := m.RestoreState(snapshot.NewDecoder(data[:len(data)-3])); err == nil {
+		t.Fatal("truncated window restored")
+	}
+	if snapshotDigest(m.SnapshotState) != before {
+		t.Fatal("rejected restore changed the window")
 	}
 }

@@ -74,6 +74,10 @@ func (bs *BatchStreamSet) Width() int { return bs.width }
 // Len returns the number of batched pushes consumed.
 func (bs *BatchStreamSet) Len() int { return bs.n }
 
+// LaneLen returns the number of samples one lane has consumed since its
+// last reset.
+func (bs *BatchStreamSet) LaneLen(lane int) int { return bs.group.LaneLen(lane) }
+
 // PushLanes feeds one control cycle's context state for each of the
 // given lanes and writes the per-lane verdicts into out (len(out) must
 // be at least len(lanes)). states[k] is the cycle state of session lane

@@ -66,7 +66,7 @@ func NewStreamSet(rules []Rule, th Thresholds, p Params, dtMin float64) (*Stream
 func (ss *StreamSet) Rules() []Rule { return ss.batch.Rules() }
 
 // Len returns the number of samples pushed.
-func (ss *StreamSet) Len() int { return ss.batch.group.LaneLen(0) }
+func (ss *StreamSet) Len() int { return ss.batch.LaneLen(0) }
 
 // Push feeds one control cycle's context state to every rule stream and
 // returns the aggregate verdict. Alarm, STL robustness, signed margin,

@@ -71,7 +71,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// ReadCSV parses a trace previously written by WriteCSV.
+// ReadCSV parses a trace previously written by WriteCSV and validates
+// it (see Trace.Validate).
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -132,6 +133,13 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 		t.Samples = append(t.Samples, s)
+	}
+	// Fail closed: a trace that parses but is inconsistent (a step that
+	// does not match its position, a non-finite cycle length, ...) would
+	// otherwise surface later as an out-of-range index or a silently
+	// wrong label in training and replay.
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -274,8 +274,8 @@ func (t *Trace) TimeToHazardMin() (float64, bool) {
 // Validate performs structural sanity checks and returns a descriptive
 // error for the first violation found.
 func (t *Trace) Validate() error {
-	if t.CycleMin <= 0 {
-		return fmt.Errorf("trace %s/%s: non-positive cycle length %v", t.Platform, t.PatientID, t.CycleMin)
+	if !(t.CycleMin > 0) || math.IsInf(t.CycleMin, 1) {
+		return fmt.Errorf("trace %s/%s: cycle length %v is not finite and positive", t.Platform, t.PatientID, t.CycleMin)
 	}
 	for i := range t.Samples {
 		s := &t.Samples[i]

@@ -190,6 +190,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		mutate func(*Trace)
 	}{
 		{"bad cycle", func(tr *Trace) { tr.CycleMin = 0 }},
+		{"nan cycle", func(tr *Trace) { tr.CycleMin = math.NaN() }},
+		{"infinite cycle", func(tr *Trace) { tr.CycleMin = math.Inf(1) }},
 		{"step mismatch", func(tr *Trace) { tr.Samples[3].Step = 7 }},
 		{"nan bg", func(tr *Trace) { tr.Samples[2].BG = math.NaN() }},
 		{"negative bg", func(tr *Trace) { tr.Samples[2].BG = -5 }},
@@ -256,6 +258,11 @@ func TestReadCSVErrors(t *testing.T) {
 		{"short header", goodMeta + "step,time_min,bg\n"},
 		{"bad record", goodMeta + goodHeader + "0,0,xx,120,1,0,0,1,1,4,false,0,false,0,false\n"},
 		{"short record", goodMeta + goodHeader + "0,0,120\n"},
+		// Records that parse but describe an inconsistent trace.
+		{"negative step", goodMeta + goodHeader + "-1,0,120,120,1,0,0,1,1,4,false,0,false,0,false\n"},
+		{"nan cycle", "#meta,a,b,120,NaN,,,,0,0,0,1.3\n" + goodHeader},
+		{"infinite cycle", "#meta,a,b,120,+Inf,,,,0,0,0,1.3\n" + goodHeader},
+		{"zero cycle", "#meta,a,b,120,0,,,,0,0,0,1.3\n" + goodHeader},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
