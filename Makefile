@@ -7,11 +7,12 @@ build:
 	$(GO) build ./...
 
 ## test: tier-1 verify — build plus the full test suite, then the fleet
-## engine again at GOMAXPROCS 1 and 4, so the host's core count cannot
-## decide whether a cross-shard race shows
+## engine and the paper pipeline again at GOMAXPROCS 1 and 4, so the
+## host's core count cannot decide whether a cross-shard race or a
+## replay-order dependence shows
 test: build
 	$(GO) test ./...
-	$(GO) test -cpu 1,4 ./internal/fleet
+	$(GO) test -cpu 1,4 ./internal/fleet ./internal/experiment
 
 ## short: the fast subset (skips seconds-long suite training)
 short:
@@ -37,7 +38,8 @@ bench:
 ## kernel (the SoA speedup guard; fewer iterations — each op steps a
 ## 128-lane bank), and the sink delivery shapes (collector vs run-end
 ## merge vs epoch merge; fewer iterations — each op is a whole
-## 100-session fleet). Output lands in bench-smoke.txt for the CI
+## 100-session fleet), and the gate-blocked batched LSTM forward at
+## widths 1 and 32. Output lands in bench-smoke.txt for the CI
 ## artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush|BenchmarkIOBTracker' \
@@ -46,6 +48,8 @@ bench-smoke:
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSinkEpochMerge' \
 		-benchtime 10x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkLSTMBatchForward' \
+		-benchtime 1000x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	@cat bench-smoke.txt
 
 ## smoke-fleetd: end-to-end control-plane smoke — start fleetd, admit a

@@ -340,14 +340,16 @@ func LearnThresholds(rules []Rule, traces []*Trace, cfg LearnConfig) (Thresholds
 // NewCAWTMonitor builds the per-session context-aware monitor with
 // learned thresholds: a one-lane view of NewBatchCAWTMonitor, so its
 // verdicts and snapshots equal a fleet shard lane's by construction.
+// On error the Monitor is a true nil.
 func NewCAWTMonitor(rules []Rule, th Thresholds) (Monitor, error) {
-	return monitor.NewCAWT(rules, th, scs.Params{})
+	return monitor.Checked(monitor.NewCAWT(rules, th, scs.Params{}))
 }
 
 // NewCAWOTMonitor builds the per-session context-aware baseline with
-// default thresholds: a one-lane view of NewBatchCAWOTMonitor.
+// default thresholds: a one-lane view of NewBatchCAWOTMonitor. On error
+// the Monitor is a true nil.
 func NewCAWOTMonitor(rules []Rule) (Monitor, error) {
-	return monitor.NewCAWOT(rules, scs.Params{})
+	return monitor.Checked(monitor.NewCAWOT(rules, scs.Params{}))
 }
 
 // NewBatchCAWTMonitor builds the shard-batched context-aware monitor
@@ -355,13 +357,21 @@ func NewCAWOTMonitor(rules []Rule) (Monitor, error) {
 // control cycle serves a whole fleet shard (use via
 // FleetConfig.NewBatchMonitor). NewCAWTMonitor is its one-lane view.
 func NewBatchCAWTMonitor(rules []Rule, th Thresholds) (BatchMonitor, error) {
-	return monitor.NewBatchCAWT(rules, th, scs.Params{})
+	m, err := monitor.NewBatchCAWT(rules, th, scs.Params{})
+	if err != nil {
+		return nil, err // a true nil, not a nil *BatchContextAware
+	}
+	return m, nil
 }
 
 // NewBatchCAWOTMonitor is the shard-batched context-aware baseline with
 // default thresholds.
 func NewBatchCAWOTMonitor(rules []Rule) (BatchMonitor, error) {
-	return monitor.NewBatchCAWOT(rules, scs.Params{})
+	m, err := monitor.NewBatchCAWOT(rules, scs.Params{})
+	if err != nil {
+		return nil, err // a true nil, not a nil *BatchContextAware
+	}
+	return m, nil
 }
 
 // STL.

@@ -187,3 +187,18 @@ func TestFacadeRiskAndLabeling(t *testing.T) {
 		t.Error("sustained severe hypo should label hazardous")
 	}
 }
+
+// TestFacadeMonitorConstructorErrorsAreNil: a failing context-aware
+// constructor returns a true nil monitor, not a nil pointer wrapped in
+// a non-nil interface that a caller checking the monitor would step.
+func TestFacadeMonitorConstructorErrorsAreNil(t *testing.T) {
+	if m, err := apsmonitor.NewCAWOTMonitor(nil); err == nil || m != nil {
+		t.Errorf("NewCAWOTMonitor(nil) = (%v, %v), want a nil Monitor and an error", m, err)
+	}
+	if m, err := apsmonitor.NewCAWTMonitor(nil, nil); err == nil || m != nil {
+		t.Errorf("NewCAWTMonitor(nil, nil) = (%v, %v), want a nil Monitor and an error", m, err)
+	}
+	if m, err := apsmonitor.NewBatchCAWOTMonitor(nil); err == nil || m != nil {
+		t.Errorf("NewBatchCAWOTMonitor(nil) = (%v, %v), want a nil BatchMonitor and an error", m, err)
+	}
+}

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -16,7 +19,10 @@ type Eval struct {
 	Simulation metrics.Confusion
 	Reaction   metrics.ReactionStats
 	// StepTime is the mean wall-clock cost of one monitor step
-	// (Section V-E6's resource-utilization comparison).
+	// (Section V-E6's resource-utilization comparison): each trace's
+	// replay time, summed over traces and divided by the steps. Traces
+	// replay in parallel, so contention between workers for cores and
+	// caches can inflate it over a one-worker replay.
 	StepTime time.Duration
 
 	// The richer verdict view, populated for margin-carrying monitors
@@ -38,29 +44,59 @@ type Eval struct {
 // patient), annotates alarms in place, and aggregates the paper's
 // accuracy and timeliness metrics plus the rule/margin attribution the
 // richer verdicts carry.
+//
+// Traces replay on up to GOMAXPROCS workers, each owning its own
+// per-patient monitors (Replay resets a monitor before every trace, so
+// which worker replays a trace cannot change its verdicts). The
+// verdicts land in per-trace slots and are folded serially in trace
+// order, so every sum keeps the order of a one-worker replay and the
+// Eval is bit-identical at any worker count. On a constructor error
+// the error of the earliest failing trace is returned.
 func (s *Suite) EvaluateMonitor(name string, traces []*trace.Trace) (Eval, error) {
+	verdicts := make([][]monitor.Verdict, len(traces))
+	elapsed := make([]time.Duration, len(traces))
+	errs := make([]error, len(traces))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(traces)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			monitors := make(map[string]monitor.Monitor)
+			for i := int(next.Add(1)) - 1; i < len(traces); i = int(next.Add(1)) - 1 {
+				tr := traces[i]
+				m, ok := monitors[tr.PatientID]
+				if !ok {
+					var err error
+					if m, err = s.NewMonitor(name, tr.PatientID); err != nil {
+						errs[i] = fmt.Errorf("experiment: %s for %s: %w", name, tr.PatientID, err)
+						continue
+					}
+					monitors[tr.PatientID] = m
+				}
+				start := time.Now()
+				verdicts[i] = monitor.Replay(m, tr)
+				elapsed[i] = time.Since(start)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return Eval{}, err
+		}
+	}
+
 	ev := Eval{Monitor: name, RuleAttribution: make(map[int]int)}
-	monitors := make(map[string]monitor.Monitor)
 	var steps int
-	var elapsed time.Duration
+	var total time.Duration
 	var alarmMarginSum, safeMarginSum float64
 	var alarmMargins, safeMargins int
-	for _, tr := range traces {
-		m, ok := monitors[tr.PatientID]
-		if !ok {
-			var err error
-			m, err = s.NewMonitor(name, tr.PatientID)
-			if err != nil {
-				return Eval{}, fmt.Errorf("experiment: %s for %s: %w", name, tr.PatientID, err)
-			}
-			monitors[tr.PatientID] = m
-		}
-		start := time.Now()
-		verdicts := monitor.Replay(m, tr)
-		elapsed += time.Since(start)
+	for ti, tr := range traces {
+		total += elapsed[ti]
 		steps += tr.Len()
 		for i := range tr.Samples {
-			v := &verdicts[i]
+			v := &verdicts[ti][i]
 			tr.Samples[i].Alarm = v.Alarm
 			tr.Samples[i].AlarmHazard = v.Hazard
 			if v.Rule == 0 {
@@ -81,7 +117,7 @@ func (s *Suite) EvaluateMonitor(name string, traces []*trace.Trace) (Eval, error
 	}
 	ev.Reaction = metrics.ReactionTime(traces)
 	if steps > 0 {
-		ev.StepTime = elapsed / time.Duration(steps)
+		ev.StepTime = total / time.Duration(steps)
 	}
 	ev.MarginSamples = alarmMargins + safeMargins
 	if alarmMargins > 0 {

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -268,6 +270,79 @@ func TestSuiteEndToEnd(t *testing.T) {
 	}
 	if out := RenderMitigation([]MitigationResult{res}); !strings.Contains(out, "recovery") {
 		t.Error("RenderMitigation malformed")
+	}
+}
+
+// TestEvaluateMonitorWorkerCountInvariant: replay spreads traces over
+// GOMAXPROCS workers and folds their verdicts in trace order, so every
+// monitor's Eval (step timing aside) and per-sample alarm annotation
+// must be identical at 1, 2 and 4 workers.
+func TestEvaluateMonitorWorkerCountInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite training is seconds-long")
+	}
+	plat := Glucosym()
+	folds := stllearn.Folds(quickCampaign(t, plat, 0), 4)
+	ff, err := FaultFree(plat, []int{0, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := BuildSuite(plat, stllearn.TrainingSet(folds, 0), ff, quickSuiteConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := folds[0]
+	type alarm struct {
+		on  bool
+		haz trace.HazardType
+	}
+	evaluate := func(name string, procs int) (Eval, [][]alarm) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		traces := make([]*trace.Trace, len(test))
+		for i, tr := range test {
+			c := *tr
+			c.Samples = append([]trace.Sample(nil), tr.Samples...)
+			traces[i] = &c
+		}
+		ev, err := suite.EvaluateMonitor(name, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.StepTime = 0
+		alarms := make([][]alarm, len(traces))
+		for i, tr := range traces {
+			for _, smp := range tr.Samples {
+				alarms[i] = append(alarms[i], alarm{smp.Alarm, smp.AlarmHazard})
+			}
+		}
+		return ev, alarms
+	}
+	for _, name := range append(append([]string(nil), MonitorNames...), "CAWT-pop") {
+		wantEv, wantAlarms := evaluate(name, 1)
+		for _, procs := range []int{2, 4} {
+			ev, alarms := evaluate(name, procs)
+			if !reflect.DeepEqual(ev, wantEv) {
+				t.Errorf("%s: GOMAXPROCS=%d Eval %+v, GOMAXPROCS=1 %+v", name, procs, ev, wantEv)
+			}
+			if !reflect.DeepEqual(alarms, wantAlarms) {
+				t.Errorf("%s: GOMAXPROCS=%d per-sample alarms differ from GOMAXPROCS=1", name, procs)
+			}
+		}
+	}
+
+	// A constructor error is the earliest failing trace's, whatever the
+	// worker count, and NewMonitor's Monitor is then a true nil.
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := suite.EvaluateMonitor("bogus", test)
+		runtime.GOMAXPROCS(prev)
+		want := "experiment: bogus for " + test[0].PatientID + ": "
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("GOMAXPROCS=%d: unknown monitor error %v, want prefix %q", procs, err, want)
+		}
+	}
+	if m, err := suite.NewMonitor("bogus", test[0].PatientID); err == nil || m != nil {
+		t.Errorf("unknown monitor: got (%v, %v), want a nil Monitor and an error", m, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,15 +141,21 @@ func paperResults(t *testing.T, parallel int) string {
 
 // TestPaperResultsGolden pins the reproduced paper numbers: a thinned
 // suite pipeline must print exactly the checked-in fixture at Parallel
-// 1, 2 and 4, so neither a refactor of the monitors, models or engine
-// nor the worker count can move a Table V-VIII or Fig. 7-9 value
-// unnoticed. Regenerate with -update only for an intended change.
+// 1, 2 and 4, each run with GOMAXPROCS set to the same width (the
+// monitor replay and suite training spread over GOMAXPROCS), so neither
+// a refactor of the monitors, models or engine nor the worker count can
+// move a Table V-VIII or Fig. 7-9 value unnoticed. Regenerate with
+// -update only for an intended change.
 func TestPaperResultsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite training is seconds-long")
 	}
 	const path = "testdata/paper_results.golden"
-	got := paperResults(t, 1)
+	results := func(parallel int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallel))
+		return paperResults(t, parallel)
+	}
+	got := results(1)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -163,7 +170,7 @@ func TestPaperResultsGolden(t *testing.T) {
 	}
 	for _, parallel := range []int{1, 2, 4} {
 		if parallel != 1 {
-			got = paperResults(t, parallel)
+			got = results(parallel)
 		}
 		if got != string(want) {
 			t.Fatalf("Parallel=%d: paper results drifted from %s:\n%s", parallel, path, lineDiff(string(want), got))

@@ -91,6 +91,14 @@ type Suite struct {
 
 // BuildSuite trains every monitor from labeled training traces plus the
 // platform's fault-free runs.
+//
+// Only the MLP and LSTM draw from the seeded rng, in the fixed order
+// subsample, FitMLP, subsampleSeq, FitLSTM, which this goroutine runs.
+// The rng-free stages (threshold learning, the guideline percentiles
+// and the decision tree) run on a second goroutine meanwhile. Both
+// sides only read the shared training data and write their own Suite
+// fields, so the trained suite is bit-identical to a serial build, and
+// an error is the one a serial build would have stopped at.
 func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg SuiteConfig) (*Suite, error) {
 	cfg = cfg.withDefaults()
 	s := &Suite{Platform: platform, Config: cfg, basals: make(map[string]float64)}
@@ -104,16 +112,64 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 		s.basals[p.ID()] = p.Basal()
 	}
 
-	// CAWT thresholds: patient-specific and population-level.
-	learnCfg := stllearn.Config{Loss: cfg.Loss}
-	per, err := stllearn.LearnPerPatient(scs.TableI(), training, learnCfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	X, y := monitor.TrainingData(training, cfg.MultiClass)
+	X, y = subsample(X, y, cfg.MaxMLSamples, rng)
+	classes := 2
+	if cfg.MultiClass {
+		classes = 3
+	}
+
+	side := make(chan error, 1)
+	go func() { side <- s.fitRNGFree(training, faultFree, X, y, classes) }()
+	err := s.fitSeeded(training, X, y, classes, rng)
+	// The rng-free stages come first in a serial build, so their error
+	// wins.
+	if sideErr := <-side; sideErr != nil {
+		return nil, sideErr
+	}
 	if err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// fitSeeded trains the MLP and then the LSTM, drawing from rng in that
+// order; the LSTM trains on a subsample of the sliding windows, and
+// only the kept windows are built.
+func (s *Suite) fitSeeded(training []*trace.Trace, X [][]float64, y []int, classes int, rng *rand.Rand) error {
+	cfg := s.Config
+	var err error
+	if s.MLP, err = ml.FitMLP(X, y, ml.MLPConfig{
+		Hidden: cfg.MLPHidden, Classes: classes, Epochs: cfg.MLPEpochs,
+	}, rng); err != nil {
+		return fmt.Errorf("experiment: MLP training: %w", err)
+	}
+	windows := monitor.NewSequenceWindows(training, cfg.LSTMWindow, cfg.MultiClass)
+	XSeq, ySeq := subsampleSeq(windows, cfg.MaxLSTMWindows, rng)
+	if s.LSTM, err = ml.FitLSTM(XSeq, ySeq, ml.LSTMConfig{
+		Units: cfg.LSTMUnits, Classes: classes, Window: cfg.LSTMWindow,
+		Epochs: cfg.LSTMEpochs,
+	}, rng); err != nil {
+		return fmt.Errorf("experiment: LSTM training: %w", err)
+	}
+	return nil
+}
+
+// fitRNGFree runs the suite's training stages that draw no randomness:
+// CAWT threshold learning, the guideline percentiles and the decision
+// tree (on the subsampled point-in-time set X, y).
+func (s *Suite) fitRNGFree(training, faultFree []*trace.Trace, X [][]float64, y []int, classes int) error {
+	// CAWT thresholds: patient-specific and population-level.
+	learnCfg := stllearn.Config{Loss: s.Config.Loss}
+	per, err := stllearn.LearnPerPatient(scs.TableI(), training, learnCfg)
+	if err != nil {
+		return err
 	}
 	// Patients absent from the training set fall back to population.
 	pop, report, err := stllearn.Learn(scs.TableI(), training, learnCfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.PatientThresholds = per
 	s.PopThresholds = pop
@@ -126,7 +182,7 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 	// daily BG distribution spans well beyond closed-loop steady state).
 	l10, l90, err := monitor.PercentilesFromTraces(faultFree)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if l10 > 90 {
 		l10 = 90
@@ -142,31 +198,10 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 	}
 	s.Lambda10, s.Lambda90 = l10, l90
 
-	// ML monitors.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	X, y := monitor.TrainingData(training, cfg.MultiClass)
-	X, y = subsample(X, y, cfg.MaxMLSamples, rng)
-	classes := 2
-	if cfg.MultiClass {
-		classes = 3
-	}
 	if s.DT, err = ml.FitTree(X, y, ml.TreeConfig{Classes: classes}); err != nil {
-		return nil, fmt.Errorf("experiment: DT training: %w", err)
+		return fmt.Errorf("experiment: DT training: %w", err)
 	}
-	if s.MLP, err = ml.FitMLP(X, y, ml.MLPConfig{
-		Hidden: cfg.MLPHidden, Classes: classes, Epochs: cfg.MLPEpochs,
-	}, rng); err != nil {
-		return nil, fmt.Errorf("experiment: MLP training: %w", err)
-	}
-	XSeq, ySeq := monitor.SequenceTrainingData(training, cfg.LSTMWindow, cfg.MultiClass)
-	XSeq, ySeq = subsampleSeq(XSeq, ySeq, cfg.MaxLSTMWindows, rng)
-	if s.LSTM, err = ml.FitLSTM(XSeq, ySeq, ml.LSTMConfig{
-		Units: cfg.LSTMUnits, Classes: classes, Window: cfg.LSTMWindow,
-		Epochs: cfg.LSTMEpochs,
-	}, rng); err != nil {
-		return nil, fmt.Errorf("experiment: LSTM training: %w", err)
-	}
-	return s, nil
+	return nil
 }
 
 // MonitorNames lists the suite's monitors in the paper's order.
@@ -175,7 +210,8 @@ var MonitorNames = []string{"Guideline", "MPC", "CAWOT", "CAWT", "DT", "MLP", "L
 // NewMonitor instantiates a fresh monitor for a patient. CAWT uses the
 // patient-specific thresholds (population fallback); CAWT-pop forces the
 // population table (Table VIII comparison). The ML monitors share the
-// suite's trained weights, each with its own inference scratch.
+// suite's trained weights, each with its own inference scratch. On
+// error the Monitor is a true nil.
 func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 	switch name {
 	case "CAWT":
@@ -183,27 +219,27 @@ func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 		if !ok {
 			th = s.PopThresholds
 		}
-		return monitor.NewCAWT(scs.TableI(), th, scs.Params{})
+		return monitor.Checked(monitor.NewCAWT(scs.TableI(), th, scs.Params{}))
 	case "CAWT-pop":
-		return monitor.NewCAWT(scs.TableI(), s.PopThresholds, scs.Params{})
+		return monitor.Checked(monitor.NewCAWT(scs.TableI(), s.PopThresholds, scs.Params{}))
 	case "CAWOT":
-		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+		return monitor.Checked(monitor.NewCAWOT(scs.TableI(), scs.Params{}))
 	case "Guideline":
-		return monitor.NewGuideline(monitor.GuidelineConfig{
+		return monitor.Checked(monitor.NewGuideline(monitor.GuidelineConfig{
 			Lambda10: s.Lambda10, Lambda90: s.Lambda90,
-		})
+		}))
 	case "MPC":
 		basal, ok := s.basals[patientID]
 		if !ok || basal <= 0 {
 			basal = 1.3
 		}
-		return monitor.NewMPC(monitor.MPCConfig{Basal: basal})
+		return monitor.Checked(monitor.NewMPC(monitor.MPCConfig{Basal: basal}))
 	case "DT":
-		return monitor.NewMLMonitor("DT", s.DT)
+		return monitor.Checked(monitor.NewMLMonitor("DT", s.DT))
 	case "MLP":
-		return monitor.NewMLMonitor("MLP", s.MLP.NewBatch())
+		return monitor.Checked(monitor.NewMLMonitor("MLP", s.MLP.NewBatch()))
 	case "LSTM":
-		return monitor.NewSequenceMonitor("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
+		return monitor.Checked(monitor.NewSequenceMonitor("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow))
 	default:
 		return nil, fmt.Errorf("experiment: unknown monitor %q", name)
 	}
@@ -223,16 +259,24 @@ func subsample(X [][]float64, y []int, limit int, rng *rand.Rand) ([][]float64, 
 	return outX, outY
 }
 
-func subsampleSeq(X [][][]float64, y []int, limit int, rng *rand.Rand) ([][][]float64, []int) {
-	if len(X) <= limit {
-		return X, y
+// subsampleSeq keeps limit of the windows (all of them, in order, when
+// there are no more than limit), drawing the same rng.Perm a subsample
+// of the fully built window list would, and builds only those.
+func subsampleSeq(w *monitor.SequenceWindows, limit int, rng *rand.Rand) ([][][]float64, []int) {
+	n := w.Len()
+	var idx []int
+	if n <= limit {
+		idx = make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+	} else {
+		idx = rng.Perm(n)[:limit]
 	}
-	idx := rng.Perm(len(X))[:limit]
-	outX := make([][][]float64, limit)
-	outY := make([]int, limit)
+	outX := make([][][]float64, len(idx))
+	outY := make([]int, len(idx))
 	for i, j := range idx {
-		outX[i] = X[j]
-		outY[i] = y[j]
+		outX[i], outY[i] = w.At(j)
 	}
 	return outX, outY
 }

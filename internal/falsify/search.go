@@ -87,7 +87,7 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.NewMonitor == nil {
 		c.NewMonitor = func() (monitor.Monitor, error) {
-			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			return monitor.Checked(monitor.NewCAWOT(scs.TableI(), scs.Params{}))
 		}
 	}
 	return c, nil

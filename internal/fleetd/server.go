@@ -158,7 +158,7 @@ func (s *Server) fleetConfig() fleet.Config {
 		Seed:      s.cfg.Seed,
 		Parallel:  s.cfg.Parallel,
 		NewMonitor: func(int) (monitor.Monitor, error) {
-			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			return monitor.Checked(monitor.NewCAWOT(scs.TableI(), scs.Params{}))
 		},
 		Telemetry:    &fleet.TelemetryConfig{FromMonitor: true},
 		Continuous:   true,

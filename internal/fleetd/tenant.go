@@ -105,7 +105,7 @@ func (s TenantSpec) newMonitor() func(int) (monitor.Monitor, error) {
 		return nil
 	}
 	return func(int) (monitor.Monitor, error) {
-		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+		return monitor.Checked(monitor.NewCAWOT(scs.TableI(), scs.Params{}))
 	}
 }
 

@@ -236,8 +236,8 @@ type LSTMBatch struct {
 	m *LSTM
 	// Flat scratch, all row-major per sample.
 	seqA, seqB []float64 // layer input/output sequences, n x T x dim
-	h, c       []float64 // running hidden/cell state, n x units
-	z          []float64 // gate pre-activations, n x units x 4
+	c          []float64 // one sequence's running cell state, units
+	h0         []float64 // all-zero initial hidden state, units
 	logits     []float64 // n x classes
 	cap        int
 }
@@ -263,9 +263,8 @@ func (b *LSTMBatch) ensure(n int) {
 	}
 	b.seqA = make([]float64, n*t*maxDim)
 	b.seqB = make([]float64, n*t*maxDim)
-	b.h = make([]float64, n*maxUnits)
-	b.c = make([]float64, n*maxUnits)
-	b.z = make([]float64, n*maxUnits*4)
+	b.c = make([]float64, maxUnits)
+	b.h0 = make([]float64, maxUnits)
 	b.logits = make([]float64, n*b.m.cfg.Classes)
 	b.cap = n
 }
@@ -338,52 +337,64 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 
 // forwardLayer runs one LSTM layer over n sequences of t steps, reading
 // row-major input frames from cur (n x t x l.in) and writing hidden
-// states into nxt (n x t x l.units). Gate weight rows are loaded once
-// per timestep and reused across the whole batch; the per-sample
-// accumulation order matches lstmLayer.forward exactly.
+// states into nxt (n x t x l.units).
+//
+// The kernel is gate-blocked: for each sample, timestep and unit it
+// computes the four gate pre-activations in one pass over the input
+// frame and then the previous hidden state. A single gate sum is a
+// latency-bound dependency chain; four independent chains sharing each
+// load of x[j] and h[j] keep the FPU busy, and the whole layer's weights
+// (4·units rows) stay cache-resident across samples. Each gate sum
+// still runs bias, then input terms, then hidden terms in index order,
+// exactly as lstmLayer.forward does, so results are bit-identical to
+// the per-sample path. The previous hidden state is read back from
+// nxt's preceding row (the zero vector at t = 0), so no separate
+// hidden-state scratch exists.
 //
 //fleetvet:noalloc
 func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int) {
-	u := l.units
-	h := b.h[:n*u]
-	c := b.c[:n*u]
-	for i := range h {
-		h[i] = 0
-		c[i] = 0
-	}
-	for tt := 0; tt < t; tt++ {
-		// Pre-activations gate-major so each weight row is read once.
-		for gate := 0; gate < 4; gate++ {
-			for uu := 0; uu < u; uu++ {
-				row := l.gateRow(l.w, gate, uu)
-				bias := row[l.in+u]
-				for s := 0; s < n; s++ {
-					x := cur[(s*t+tt)*l.in : (s*t+tt+1)*l.in]
-					hPrev := h[s*u : (s+1)*u]
-					sum := bias
-					for j, xj := range x {
-						sum += row[j] * xj
-					}
-					for j, hj := range hPrev {
-						sum += row[l.in+j] * hj
-					}
-					b.z[(s*u+uu)*4+gate] = sum
-				}
-			}
+	in, u := l.in, l.units
+	stride := in + u + 1
+	c := b.c[:u]
+	for s := 0; s < n; s++ {
+		for i := range c {
+			c[i] = 0
 		}
-		for s := 0; s < n; s++ {
+		hPrev := b.h0[:u]
+		for tt := 0; tt < t; tt++ {
+			x := cur[(s*t+tt)*in : (s*t+tt+1)*in]
+			hOut := nxt[(s*t+tt)*u : (s*t+tt+1)*u]
 			for uu := 0; uu < u; uu++ {
-				z := b.z[(s*u+uu)*4 : (s*u+uu)*4+4]
-				iGate := sigmoid(z[0])
-				fGate := sigmoid(z[1])
-				gGate := math.Tanh(z[2])
-				oGate := sigmoid(z[3])
-				cv := fGate*c[s*u+uu] + iGate*gGate
-				hv := oGate * math.Tanh(cv)
-				c[s*u+uu] = cv
-				h[s*u+uu] = hv
-				nxt[(s*t+tt)*u+uu] = hv
+				r0 := l.w[(0*u+uu)*stride : (0*u+uu+1)*stride]
+				r1 := l.w[(1*u+uu)*stride : (1*u+uu+1)*stride]
+				r2 := l.w[(2*u+uu)*stride : (2*u+uu+1)*stride]
+				r3 := l.w[(3*u+uu)*stride : (3*u+uu+1)*stride]
+				z0, z1, z2, z3 := r0[in+u], r1[in+u], r2[in+u], r3[in+u]
+				// Input and recurrent weight slices, resliced to the
+				// loop lengths so the compiler drops the bounds checks.
+				xw0, xw1, xw2, xw3 := r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+				for j, xj := range x {
+					z0 += xw0[j] * xj
+					z1 += xw1[j] * xj
+					z2 += xw2[j] * xj
+					z3 += xw3[j] * xj
+				}
+				hw0, hw1, hw2, hw3 := r0[in:in+len(hPrev)], r1[in:in+len(hPrev)], r2[in:in+len(hPrev)], r3[in:in+len(hPrev)]
+				for j, hj := range hPrev {
+					z0 += hw0[j] * hj
+					z1 += hw1[j] * hj
+					z2 += hw2[j] * hj
+					z3 += hw3[j] * hj
+				}
+				iGate := sigmoid(z0)
+				fGate := sigmoid(z1)
+				gGate := math.Tanh(z2)
+				oGate := sigmoid(z3)
+				cv := fGate*c[uu] + iGate*gGate
+				c[uu] = cv
+				hOut[uu] = oGate * math.Tanh(cv)
 			}
+			hPrev = hOut
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"sort"
+
 	"repro/internal/ml"
 	"repro/internal/trace"
 )
@@ -118,28 +120,59 @@ func TrainingData(traces []*trace.Trace, multiClass bool) (X [][]float64, y []in
 	return X, y
 }
 
-// SequenceTrainingData assembles windowed training data per Eq. 8.
-func SequenceTrainingData(traces []*trace.Trace, window int, multiClass bool) (X [][][]float64, y []int) {
-	for _, tr := range traces {
-		hazType := tr.DominantHazard()
-		for end := window; end <= tr.Len(); end++ {
-			win := make([][]float64, window)
-			for k := 0; k < window; k++ {
-				win[k] = Features(sampleObservation(&tr.Samples[end-window+k]))
-			}
-			label := 0
-			if anyHazardAtOrAfter(tr, tr.Samples[end-1].Step) {
-				if multiClass {
-					label = int(hazType)
-				} else {
-					label = 1
-				}
-			}
-			X = append(X, win)
-			y = append(y, label)
+// SequenceWindows indexes the windowed training data of Eq. 8 without
+// building it: the sliding windows of every trace, in trace order and
+// then by end sample, are numbered 0..Len()-1, and At(k) builds window
+// k and its label. A caller that keeps a subsample builds only the
+// windows it keeps.
+type SequenceWindows struct {
+	traces     []*trace.Trace
+	window     int
+	multiClass bool
+	ends       []int // ends[i]: windows in traces[:i+1]
+}
+
+// NewSequenceWindows indexes the window-length sliding windows of
+// traces.
+func NewSequenceWindows(traces []*trace.Trace, window int, multiClass bool) *SequenceWindows {
+	w := &SequenceWindows{traces: traces, window: window, multiClass: multiClass, ends: make([]int, len(traces))}
+	n := 0
+	for i, tr := range traces {
+		n += max(0, tr.Len()-window+1)
+		w.ends[i] = n
+	}
+	return w
+}
+
+// Len returns the number of windows.
+func (w *SequenceWindows) Len() int {
+	if len(w.ends) == 0 {
+		return 0
+	}
+	return w.ends[len(w.ends)-1]
+}
+
+// At builds window k (timesteps x features) and its label: positive
+// when a hazard occurs at or after the window's last sample, carrying
+// the trace's dominant hazard type with multiClass.
+func (w *SequenceWindows) At(k int) (win [][]float64, label int) {
+	i := sort.SearchInts(w.ends, k+1)
+	tr := w.traces[i]
+	end := w.window + k
+	if i > 0 {
+		end -= w.ends[i-1]
+	}
+	win = make([][]float64, w.window)
+	for j := range win {
+		win[j] = Features(sampleObservation(&tr.Samples[end-w.window+j]))
+	}
+	if anyHazardAtOrAfter(tr, tr.Samples[end-1].Step) {
+		label = 1
+		if w.multiClass {
+			label = int(tr.DominantHazard())
 		}
 	}
-	return X, y
+	return win, label
 }
 
 func anyHazardAtOrAfter(tr *trace.Trace, step int) bool {

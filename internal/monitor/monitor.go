@@ -10,6 +10,18 @@ import (
 // Monitor re-exports the closed-loop monitor contract for implementers.
 type Monitor = closedloop.Monitor
 
+// Checked passes a constructor's result on as a Monitor, with a true
+// nil Monitor when err is non-nil. Returning a constructor's (*T, error)
+// straight from a function whose result is (Monitor, error) would wrap
+// its nil *T in a non-nil interface, so a caller that tests the monitor
+// instead of the error would step a nil receiver.
+func Checked[M Monitor](m M, err error) (Monitor, error) {
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // Observation is the per-cycle monitor input.
 type Observation = closedloop.Observation
 

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ml"
@@ -353,16 +354,70 @@ func TestSequenceTrainingDataShape(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.Samples = append(tr.Samples, trace.Sample{Step: i, CGM: 120})
 	}
-	X, y := SequenceTrainingData([]*trace.Trace{tr}, 6, false)
-	if len(X) != 15 { // 20 - 6 + 1
-		t.Fatalf("%d windows, want 15", len(X))
+	w := NewSequenceWindows([]*trace.Trace{tr}, 6, false)
+	if w.Len() != 15 { // 20 - 6 + 1
+		t.Fatalf("%d windows, want 15", w.Len())
 	}
-	if len(X[0]) != 6 || len(X[0][0]) != FeatureDim {
-		t.Errorf("window shape %dx%d", len(X[0]), len(X[0][0]))
-	}
-	for _, label := range y {
+	for k := 0; k < w.Len(); k++ {
+		win, label := w.At(k)
+		if len(win) != 6 || len(win[0]) != FeatureDim {
+			t.Errorf("window %d shape %dx%d", k, len(win), len(win[0]))
+		}
 		if label != 0 {
 			t.Error("hazard-free trace should have zero labels")
+		}
+	}
+}
+
+// TestSequenceWindowsAt: indexing a window must give exactly the window
+// and label a direct per-trace sliding-window build lists at that
+// position, across traces of different lengths (one shorter than the
+// window) with and without hazards, binary and multi-class.
+func TestSequenceWindowsAt(t *testing.T) {
+	const window = 4
+	var traces []*trace.Trace
+	for i, n := range []int{9, 2, 4, 7} {
+		tr := &trace.Trace{CycleMin: 5, Basal: 1}
+		for j := 0; j < n; j++ {
+			smp := trace.Sample{Step: j, CGM: 100 + float64(10*i+j), Rate: float64(j), Action: trace.ActionKeep}
+			if i == 3 && j == 5 {
+				smp.Hazard = trace.HazardH2
+			}
+			tr.Samples = append(tr.Samples, smp)
+		}
+		traces = append(traces, tr)
+	}
+	for _, multi := range []bool{false, true} {
+		var wantX [][][]float64
+		var wantY []int
+		for _, tr := range traces {
+			for end := window; end <= tr.Len(); end++ {
+				var win [][]float64
+				for k := end - window; k < end; k++ {
+					win = append(win, Features(sampleObservation(&tr.Samples[k])))
+				}
+				label := 0
+				for k := end - 1; k < tr.Len(); k++ {
+					if tr.Samples[k].Hazard != trace.HazardNone {
+						label = 1
+						if multi {
+							label = int(tr.DominantHazard())
+						}
+						break
+					}
+				}
+				wantX, wantY = append(wantX, win), append(wantY, label)
+			}
+		}
+		w := NewSequenceWindows(traces, window, multi)
+		if w.Len() != len(wantX) {
+			t.Fatalf("multi=%v: %d windows, want %d", multi, w.Len(), len(wantX))
+		}
+		for k := range wantX {
+			win, label := w.At(k)
+			if !reflect.DeepEqual(win, wantX[k]) || label != wantY[k] {
+				t.Errorf("multi=%v window %d: got %v label %d, want %v label %d", multi, k, win, label, wantX[k], wantY[k])
+			}
 		}
 	}
 }

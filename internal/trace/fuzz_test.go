@@ -61,7 +61,10 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		traces := []*trace.Trace{tr}
 		monitor.TrainingData(traces, true)
-		monitor.SequenceTrainingData(traces, 3, true)
+		windows := monitor.NewSequenceWindows(traces, 3, true)
+		for k := 0; k < windows.Len(); k++ {
+			windows.At(k)
+		}
 		cawot, err := monitor.NewCAWOT(scs.TableI(), scs.Params{})
 		if err != nil {
 			t.Fatal(err)
